@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .fespace import ASSEMBLY_DEGREE, EVALUATION_DEGREE, FESpace, basis_gradients, basis_values, quadrature
-from .scalar import round_to
+from .scalar import HALF, round_to
 
 
 def _element_geometry(space: FESpace):
@@ -50,6 +50,21 @@ def _to_csr(space: FESpace, local: np.ndarray):
     return A
 
 
+def _contract(x, y):
+    """x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] at the operands' precision,
+    the last-axis contraction of two length-2 vectors (J @ r, inv(J)^T g,
+    g_i . g_j) written out.
+
+    binary16 operands are contracted in binary32 and rounded once to
+    binary16: native binary16 products overflow on fine elements (inf - inf
+    = nan) where the rounded binary32 contraction is finite.
+    """
+    if x.dtype == np.float16:
+        x, y = x.astype(np.float32), y.astype(np.float32)
+        return round_to(x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1], HALF)
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
+
+
 def assemble_stiffness(space: FESpace, exactness: int = ASSEMBLY_DEGREE):
     """A_ij = sum_K int_K grad(phi_j) . grad(phi_i), at space precision."""
     p = space.precision
@@ -61,9 +76,13 @@ def assemble_stiffness(space: FESpace, exactness: int = ASSEMBLY_DEGREE):
     ne = space.mesh.n_elements
     nloc = space.ndof_local
     local = np.zeros((ne, nloc, nloc), dtype=p.dtype)
+    contrib = None
     for q in range(rule.points.shape[0]):
-        g = np.einsum("eab,ib->eia", invJT, gref[q])  # (ne, nloc, 2)
-        contrib = np.einsum("eia,eja->eij", g, g)
+        if contrib is None or not np.array_equal(gref[q], gref[q - 1]):
+            # physical gradients g[e, i, :] = inv(J)^T gref[q, i] and their
+            # pairwise dot products, each contraction rounded once to p
+            g = _contract(invJT[:, None, :, :], gref[q][None, :, None, :])  # (ne, nloc, 2)
+            contrib = _contract(g[:, :, None, :], g[:, None, :, :])         # (ne, nloc, nloc)
         local += (w[q] * det)[:, None, None] * contrib
     return _to_csr(space, round_to(local, p).astype(p.sparse_dtype))
 
@@ -80,7 +99,7 @@ def assemble_load(space: FESpace, f, exactness: int = ASSEMBLY_DEGREE):
     ne = space.mesh.n_elements
     local = np.zeros((ne, space.ndof_local), dtype=p.dtype)
     for q in range(rule.points.shape[0]):
-        x = a + J @ ref[q]
+        x = a + _contract(J, ref[q])
         fq = round_to(np.asarray(f(x[:, 0], x[:, 1])), p)
         local += ((w[q] * det) * fq)[:, None] * phi[q][None, :]
 
@@ -105,7 +124,7 @@ def assemble_functional(space: FESpace, functional, exactness: int = EVALUATION_
     ne = space.mesh.n_elements
     local = np.zeros((ne, space.ndof_local), dtype=p.dtype)
     for q in range(rule.points.shape[0]):
-        x = a + J @ ref[q]
+        x = a + _contract(J, ref[q])
         inside = functional.contains(x[:, 0], x[:, 1]).astype(p.dtype)
         local += ((w[q] * det) * inside)[:, None] * phi[q][None, :]
 

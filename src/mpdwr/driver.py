@@ -78,6 +78,7 @@ class IterationRecord:
     t_refine: float
     primal_precision: str
     dual_precision: str
+    t_eval: float = 0.0  # J(e), L2 error and minimum element volume
 
 
 @dataclass
@@ -86,11 +87,13 @@ class AdaptHistory:
     flags: list = field(default_factory=list)
     post_process_time: float | None = None
     post_l2: float | None = None
+    post_iterations: int | None = None
     switched_at: int | None = None
 
     CSV_COLUMNS = (
         "iter,ndofs,nelems,je,eta_total,min_vol,"
-        "t_primal,t_dual,t_indicator,t_refine,primal_prec,dual_prec"
+        "t_primal,t_dual,t_indicator,t_refine,primal_prec,dual_prec,"
+        "l2,primal_residual,t_eval"
     )
 
     def csv_rows(self):
@@ -101,7 +104,8 @@ class AdaptHistory:
                 f"{r.iteration},{r.n_dofs},{r.n_elements},{r.je:.9e},{eta:.9e},"
                 f"{r.min_volume:.9e},{r.t_primal:.6e},{r.t_dual:.6e},"
                 f"{r.t_indicator:.6e},{r.t_refine:.6e},"
-                f"{r.primal_precision},{r.dual_precision}"
+                f"{r.primal_precision},{r.dual_precision},"
+                f"{r.l2:.9e},{r.primal_residual:.9e},{r.t_eval:.6e}"
             )
         return rows
 
@@ -120,19 +124,19 @@ def initial_mesh(refines: int = 2) -> meshmod.Mesh:
     return m
 
 
-def solve_primal(mesh, problem: Problem, p, degree=1, tol=None, maxit=None):
+def solve_primal(mesh, problem: Problem, p, degree=1, tol=None, maxit=None, x0=None):
     """Assemble, eliminate boundary conditions and PCG-solve the primal.
 
     The report carries the true residual ||F - A x|| evaluated in double;
     for lower-precision solves it floors at the precision's rounding level
     and grows with the problem size, which is what the limit monitor
-    watches.
+    watches.  x0 is an optional PCG start vector (see linsolve.pcg).
     """
     space = build_space(mesh, degree, p)
     A = assemble_stiffness(space)
     F = assemble_load(space, problem.f)
     A, F = apply_dirichlet(A, F, space.boundary_dofs)
-    x, report = pcg(A, F, p, tol=tol, maxit=maxit)
+    x, report = pcg(A, F, p, tol=tol, maxit=maxit, x0=x0)
     r = F.astype(np.float64) - A.astype(np.float64) @ x.astype(np.float64)
     report.true_residual = float(np.linalg.norm(r))
     return Solution(space, x), report
@@ -209,11 +213,28 @@ def marking(ind, theta: float) -> np.ndarray:
     return np.sort(order[:count])
 
 
-def post_process(mesh, problem: Problem, tol=None, maxit=None):
-    """Final double-precision primal re-solve on the adapted mesh."""
+def post_process(mesh, problem: Problem, tol=None, maxit=None, u0=None):
+    """Final double-precision primal re-solve on the adapted mesh.
+
+    With u0, a lower-precision solution on the same mesh, the degree-1
+    double solve is warm-started from it, so it refines u0 instead of
+    solving from zero (a u0 of another degree is ignored).  Returns
+    (solution, seconds, PCG iterations).
+    """
     t0 = time.perf_counter()
-    u, _ = solve_primal(mesh, problem, DOUBLE, tol=tol, maxit=maxit)
-    return u, time.perf_counter() - t0
+    x0 = u0.coefficients if u0 is not None and u0.space.degree == 1 else None
+    u, report = solve_primal(mesh, problem, DOUBLE, tol=tol, maxit=maxit, x0=x0)
+    return u, time.perf_counter() - t0, report.iterations
+
+
+def _post_process_into(history, mesh, problem, cfg, u):
+    """Warm-started double post-process of the final primal u; records the
+    time, PCG iterations and L2 error in the history."""
+    u_pp, history.post_process_time, history.post_iterations = post_process(
+        mesh, problem, cfg.solver_tol, cfg.solver_maxit, u0=u
+    )
+    history.post_l2 = l2_error(u_pp, problem.u_exact)
+    return u_pp
 
 
 def _solve_dual(mesh, functional, cfg, p_dual):
@@ -243,6 +264,7 @@ def _one_iteration(mesh, problem, functional, cfg, k, p_primal, p_dual):
             w = _solve_dual(mesh, functional, cfg, p_dual)
             t_dual = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     if not cfg.track_je:
         je = float("nan")
     elif cfg.je_mode == "exact":
@@ -251,6 +273,7 @@ def _one_iteration(mesh, problem, functional, cfg, k, p_primal, p_dual):
         je = estimate_Je(u, w, problem.f)
     l2 = l2_error(u, problem.u_exact)
     min_vol = meshmod.min_element_volume(mesh)
+    t_eval = time.perf_counter() - t0
 
     stop = (cfg.track_je and abs(je) <= cfg.tol) or k >= cfg.max_iter
     guard_tripped = min_vol < cfg.min_volume_guard
@@ -270,6 +293,7 @@ def _one_iteration(mesh, problem, functional, cfg, k, p_primal, p_dual):
         t_refine=0.0,
         primal_precision=p_primal.name,
         dual_precision=p_dual.name,
+        t_eval=t_eval,
     )
     return record, u, w, stop, guard_tripped
 
@@ -321,10 +345,7 @@ def _adapt_loop(problem, functional, cfg, mesh=None):
         k += 1
 
     if cfg.post_process and p_primal is not DOUBLE:
-        u_pp, t_pp = post_process(mesh, problem, cfg.solver_tol, cfg.solver_maxit)
-        history.post_process_time = t_pp
-        history.post_l2 = l2_error(u_pp, problem.u_exact)
-        u = u_pp
+        u = _post_process_into(history, mesh, problem, cfg, u)
     return mesh, u, history
 
 
@@ -459,8 +480,5 @@ def precision_cascade(problem, functional, cfg: AdaptConfig, mesh=None, force_sw
         k += 1
 
     if history.records[-1].primal_precision != "double" and cfg.post_process:
-        u_pp, t_pp = post_process(mesh, problem, cfg.solver_tol, cfg.solver_maxit)
-        history.post_process_time = t_pp
-        history.post_l2 = l2_error(u_pp, problem.u_exact)
-        u = u_pp
+        u = _post_process_into(history, mesh, problem, cfg, u)
     return mesh, u, history

@@ -271,10 +271,30 @@ def element_transforms(m: meshmod.Mesh):
 
 
 def quad_points_physical(m: meshmod.Mesh, rule: QuadratureRule):
-    """Physical quadrature points (ne, nq, 2) and weights*detJ (ne, nq)."""
-    a, J, det, _ = element_transforms(m)
+    """Physical quadrature points (ne, nq, 2) and weights*detJ (ne, nq).
+
+    Point q of element e is a + (J[:, 0] r0 + J[:, 1] r1) for the reference
+    coordinates (r0, r1), one physical coordinate at a time.
+    """
     ref = rule.points[:, 1:]  # (nq, 2) reference coordinates
-    pts = a[:, None, :] + np.einsum("eij,qj->eqi", J, ref)
+    ne, nq = m.n_elements, ref.shape[0]
+    pts = np.empty((ne, nq, 2))
+    cols = []
+    for i in range(2):
+        c = m.vertices[:, i][m.elements]  # (ne, 3) coordinate i of a, b, c
+        a = c[:, 0].copy()
+        d1 = c[:, 1] - a
+        d2 = c[:, 2] - a
+        cols.append((d1, d2))
+        x = np.empty((nq, ne))
+        for q, (r0, r1) in enumerate(ref):
+            np.multiply(d1, r0, out=x[q])
+            x[q] += d2 * r1
+            x[q] += a
+        pts[:, :, i] = x.T
+        del c, x
+    (d1x, d2x), (d1y, d2y) = cols
+    det = d1x * d2y - d2x * d1y
     wdet = rule.weights[None, :] * det[:, None]
     return pts, wdet
 
@@ -287,12 +307,23 @@ def solution_values(u: Solution, rule: QuadratureRule) -> np.ndarray:
 
 
 def solution_gradients(u: Solution, rule: QuadratureRule) -> np.ndarray:
-    """grad u at quadrature points, in double; (ne, nq, 2)."""
+    """grad u at quadrature points, in double; (ne, nq, 2).
+
+    Sums over the local basis functions in order, starting from zero.
+    """
     _, _, _, invJT = element_transforms(u.space.mesh)
     gref = basis_gradients(u.space.degree, rule.points)  # (nq, nloc, 2)
-    gphys = np.einsum("eab,qib->eqia", invJT, gref)      # (ne, nq, nloc, 2)
     local = u.coefficients.astype(np.float64)[u.space.element_dof_map]
-    return np.einsum("eqia,ei->eqa", gphys, local)
+    out = np.zeros((local.shape[0], gref.shape[0], 2))
+    for q in range(gref.shape[0]):
+        if q > 0 and np.array_equal(gref[q], gref[q - 1]):
+            out[:, q] = out[:, q - 1]  # constant gradients (P1)
+            continue
+        for i, (g0, g1) in enumerate(gref[q]):
+            gphys = invJT[:, :, 0] * g0 + invJT[:, :, 1] * g1  # (ne, 2)
+            gphys *= local[:, i, None]
+            out[:, q] += gphys
+    return out
 
 
 def l2_error(u: Solution, exact) -> float:

@@ -60,32 +60,44 @@ class EdgeTable:
 def edge_table(mesh: Mesh) -> EdgeTable:
     elems = mesh.elements
     ne = elems.shape[0]
-    # local edges (a,b), (b,c), (c,a)
-    raw = np.stack(
-        [elems[:, [0, 1]], elems[:, [1, 2]], elems[:, [2, 0]]], axis=1
-    ).reshape(-1, 2)
-    undirected = np.sort(raw, axis=1)
-    edges, inverse = np.unique(undirected, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    elem_to_edge = inverse.reshape(ne, 3)
+    nv = mesh.n_vertices
+    # incidence 3e + k is local edge k of element e: (a,b), (b,c), (c,a);
+    # each undirected edge is one key lo * nv + hi, so key order is the
+    # lexicographic order of the sorted vertex pairs
+    tail = elems.reshape(-1)
+    head = elems[:, [1, 2, 0]].reshape(-1)
+    key = np.minimum(tail, head).astype(np.int64, copy=False)
+    key *= nv
+    key += np.maximum(tail, head)
+    del head
+    # stable: within an edge the incidences keep element order, so slot 0
+    # is the lower element index
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    del key
+    first = np.empty(skey.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(skey[1:], skey[:-1], out=first[1:])
+    eids = np.cumsum(first) - 1
+    ukeys = skey[first]
+    del skey
+    edges = np.empty((ukeys.shape[0], 2), dtype=np.int64)
+    np.floor_divide(ukeys, nv, out=edges[:, 0])
+    np.remainder(ukeys, nv, out=edges[:, 1])
+    del ukeys
 
-    # group the 3*ne incidences by edge id; within a group the original
-    # element order is kept (stable), so slot 0 is the lower element index
-    order = np.argsort(inverse, kind="stable")
-    eids = inverse[order]
+    elem_to_edge = np.empty(3 * ne, dtype=np.int64)
+    elem_to_edge[order] = eids
+    elem_to_edge = elem_to_edge.reshape(ne, 3)
     counts = np.bincount(eids, minlength=edges.shape[0])
     if counts.max(initial=0) > 2:
         raise ValueError("edge shared by more than two elements")
-    first = np.ones(eids.shape[0], dtype=bool)
-    first[1:] = eids[1:] != eids[:-1]
-    slot = np.where(first, 0, 1)
-
-    elem_ids = np.repeat(np.arange(ne, dtype=np.int64), 3)[order]
-    local_ids = np.tile(np.arange(3, dtype=np.int64), ne)[order]
+    del counts
+    slot = (~first).view(np.int8)
     edge_to_elem = np.full((edges.shape[0], 2), -1, dtype=np.int64)
     edge_local = np.full((edges.shape[0], 2), -1, dtype=np.int64)
-    edge_to_elem[eids, slot] = elem_ids
-    edge_local[eids, slot] = local_ids
+    edge_to_elem[eids, slot] = order // 3
+    edge_local[eids, slot] = order % 3
     return EdgeTable(edges, elem_to_edge, edge_to_elem, edge_local)
 
 

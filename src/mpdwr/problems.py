@@ -185,6 +185,19 @@ def get_functional(name: str) -> Functional:
         raise ValueError(f"unknown functional {name!r}; expected one of {sorted(_FUNCTIONALS)}")
 
 
+def _region_weights(functional: Functional, mesh):
+    """Degree-8 points and quadrature weights masked to the region."""
+    if functional.area <= 0:
+        raise ValueError(f"functional {functional.name} has zero-area region")
+    rule = quadrature(EVALUATION_DEGREE)
+    pts, wdet = quad_points_physical(mesh, rule)
+    return rule, pts, wdet * functional.contains(pts[..., 0], pts[..., 1])
+
+
+def _field_values(u, pts):
+    return np.asarray(u(pts[..., 0], pts[..., 1]), dtype=np.float64)
+
+
 def eval_functional(functional: Functional, u, mesh=None) -> float:
     """Region average of u by degree-8 characteristic quadrature, in double.
 
@@ -192,23 +205,18 @@ def eval_functional(functional: Functional, u, mesh=None) -> float:
     case a mesh must be supplied.  Diagnostic arithmetic always runs in
     double regardless of a Solution's storage precision.
     """
-    if functional.area <= 0:
-        raise ValueError(f"functional {functional.name} has zero-area region")
-    rule = quadrature(EVALUATION_DEGREE)
     if isinstance(u, Solution):
         mesh = u.space.mesh
-        vals = solution_values(u, rule)
-    else:
-        if mesh is None:
-            raise ValueError("a mesh is required to evaluate a plain field")
-        pts, _ = quad_points_physical(mesh, rule)
-        vals = np.asarray(u(pts[..., 0], pts[..., 1]), dtype=np.float64)
-    pts, wdet = quad_points_physical(mesh, rule)
-    inside = functional.contains(pts[..., 0], pts[..., 1])
-    return float(np.sum(wdet * inside * vals) / functional.area)
+    elif mesh is None:
+        raise ValueError("a mesh is required to evaluate a plain field")
+    rule, pts, weights = _region_weights(functional, mesh)
+    vals = solution_values(u, rule) if isinstance(u, Solution) else _field_values(u, pts)
+    return float(np.sum(weights * vals) / functional.area)
 
 
 def functional_error(functional: Functional, u_exact, u_h: Solution) -> float:
     """J(e) = J(u_exact) - J(u_h), both by quadrature on u_h's mesh."""
-    mesh = u_h.space.mesh
-    return eval_functional(functional, u_exact, mesh) - eval_functional(functional, u_h)
+    rule, pts, weights = _region_weights(functional, u_h.space.mesh)
+    j_exact = float(np.sum(weights * _field_values(u_exact, pts)) / functional.area)
+    j_h = float(np.sum(weights * solution_values(u_h, rule)) / functional.area)
+    return j_exact - j_h

@@ -76,6 +76,8 @@ def round_to(x, p: Precision):
     through.  Rounding to the value's own precision is the identity.
     """
     p = precision(p)
+    if isinstance(x, np.ndarray) and x.ndim and x.dtype == p.dtype:
+        return x
     with np.errstate(over="ignore"):
         out = np.asarray(x).astype(p.dtype, copy=False)
     if np.isscalar(x) or np.ndim(x) == 0:

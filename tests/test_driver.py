@@ -272,16 +272,31 @@ def test_post_process_error_not_worse():
     prob = get_problem("e3")
     mesh = initial_mesh(2)
     u_single, _ = solve_primal(mesh, prob, "single")
-    u_post, t = post_process(mesh, prob)
+    u_post, t, _ = post_process(mesh, prob)
     assert t > 0.0
     assert l2_error(u_post, prob.u_exact) <= l2_error(u_single, prob.u_exact) * (1 + 1e-9)
+
+
+def test_post_process_warm_start_refines_single_solution():
+    prob, func = get_problem("e3"), get_functional("j1")
+    cfg = small_cfg(post_process=True, tol=1e-30, max_iter=4, solver_tol=2e-6)
+    mesh, u_post, hist = mpdwr_adapt(prob, func, cfg)
+    u_cold, _, cold_iters = post_process(mesh, prob, tol=cfg.solver_tol)
+    assert u_post.space.precision is DOUBLE
+    assert 0 < hist.post_iterations < cold_iters
+    # on a few hundred DoFs the single and double L2 errors agree to about
+    # 1e-6 either way; the refined solution must not end up worse than both
+    # the single primal and the cold double solve
+    l2_bound = max(hist.records[-1].l2, l2_error(u_cold, prob.u_exact))
+    assert hist.post_l2 <= l2_bound * (1 + 1e-9)
+    assert all(r.t_eval > 0.0 for r in hist.records)
 
 
 def test_post_process_agrees_on_coarse_mesh():
     prob = get_problem("e1")
     mesh = initial_mesh(1)
     u_single, _ = solve_primal(mesh, prob, "single")
-    u_post, _ = post_process(mesh, prob)
+    u_post, _, _ = post_process(mesh, prob)
     l2s = l2_error(u_single, prob.u_exact)
     l2d = l2_error(u_post, prob.u_exact)
     assert abs(l2s - l2d) / l2d <= 1e-5
@@ -390,11 +405,14 @@ def test_cascade_forced_switch():
 
 
 def test_cascade_without_trip_stays_half():
+    # with guard 0 the monitor needs three records, and the third iteration
+    # is the last (max_iter=2), so the stage-0 switch cannot happen
     prob, func = get_problem("e3"), get_functional("j1")
-    cfg = small_cfg(tol=1e-30, max_iter=2, post_process=False)
+    cfg = small_cfg(tol=1e-30, max_iter=2, post_process=False, min_volume_guard=0.0)
     _, _, hist = precision_cascade(prob, func, cfg)
-    if hist.switched_at is None:
-        assert all(r.primal_precision == "half" for r in hist.records)
+    assert hist.switched_at is None
+    assert len(hist.records) == 3
+    assert all(r.primal_precision == "half" for r in hist.records)
 
 
 def test_cascade_final_error_not_worse_than_pure_half():

@@ -7,7 +7,7 @@ from mpdwr.driver import initial_mesh, solve_primal
 from mpdwr.fespace import build_space
 from mpdwr.linsolve import PCGError, default_tol, pcg
 from mpdwr.problems import get_problem
-from mpdwr.scalar import DOUBLE, SINGLE
+from mpdwr.scalar import DOUBLE, HALF, SINGLE, round_to
 
 
 def test_identity_one_iteration():
@@ -98,3 +98,64 @@ def test_deterministic_solve():
     u1, _ = solve_primal(mesh, prob, "single")
     u2, _ = solve_primal(mesh, prob, "single")
     assert u1.coefficients.tobytes() == u2.coefficients.tobytes()
+
+
+def cold_pcg_reference(A, b, p):
+    """Cold-start Jacobi-PCG loop, success path only (the pre-warm-start code)."""
+    dt = p.dtype
+    b = round_to(np.asarray(b), p)
+    bnorm = np.linalg.norm(b.astype(np.float64))
+    dinv = round_to(1.0 / A.diagonal().astype(np.float64), p)
+    x = np.zeros(A.shape[0], dtype=dt)
+    r = b.copy()
+    z = round_to(dinv * r, p)
+    d = z.copy()
+    rho = dt.type(np.dot(r, z))
+    it = 0
+    while True:
+        q = round_to(A @ d, p)
+        alpha = dt.type(rho / dt.type(np.dot(d, q)))
+        x = round_to(x + alpha * d, p)
+        r = round_to(r - alpha * q, p)
+        it += 1
+        if np.linalg.norm(r.astype(np.float64)) / bnorm <= default_tol(p):
+            return x, it
+        z = round_to(dinv * r, p)
+        rho_new = dt.type(np.dot(r, z))
+        beta = dt.type(rho_new / rho)
+        rho = rho_new
+        d = round_to(z + beta * d, p)
+
+
+def _poisson_system(p):
+    sp = build_space(initial_mesh(2), 1, p)
+    A, F = apply_dirichlet(assemble_stiffness(sp), assemble_load(sp, get_problem("e3").f), sp.boundary_dofs)
+    return A, F
+
+
+@pytest.mark.parametrize("p", [HALF, SINGLE, DOUBLE])
+def test_cold_start_bit_identical_to_reference(p):
+    A, F = _poisson_system(p)
+    x, rep = pcg(A, F, p, x0=None)
+    x_ref, it_ref = cold_pcg_reference(A, F, p)
+    assert rep.iterations == it_ref
+    assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+
+
+def test_warm_start_from_solution_stops_at_once():
+    A, F = _poisson_system(DOUBLE)
+    x, _ = pcg(A, F, DOUBLE)
+    x2, rep = pcg(A, F, DOUBLE, x0=x)
+    assert rep.iterations <= 1
+    assert rep.final_relative_residual <= rep.tol
+    assert np.linalg.norm(x2 - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_warm_start_from_single_solution():
+    A, F = _poisson_system(DOUBLE)
+    x_s, _ = pcg(*_poisson_system(SINGLE), SINGLE)
+    _, cold = pcg(A, F, DOUBLE, tol=1e-8)
+    x, warm = pcg(A, F, DOUBLE, tol=1e-8, x0=x_s)
+    assert x.dtype == np.float64
+    assert warm.final_relative_residual <= warm.tol
+    assert warm.iterations < cold.iterations
