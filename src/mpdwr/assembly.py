@@ -13,26 +13,24 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 
-from .fespace import ASSEMBLY_DEGREE, EVALUATION_DEGREE, FESpace, basis_gradients, basis_values, quadrature
+from .fespace import (
+    ASSEMBLY_DEGREE,
+    EVALUATION_DEGREE,
+    FESpace,
+    basis_gradients,
+    basis_values,
+    element_transforms,
+    quadrature,
+)
 from .scalar import HALF, round_to
 
 
 def _element_geometry(space: FESpace):
-    """Jacobian data at the space's precision: J columns, detJ, inv(J)^T."""
-    p = space.precision
-    verts = round_to(space.mesh.vertices, p)
-    v = verts[space.mesh.elements]
-    a = v[:, 0]
-    J = np.stack([v[:, 1] - a, v[:, 2] - a], axis=2)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    """Jacobian data at the space's precision: origins, J, detJ, inv(J)^T."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # det <= 0 raises below
+        a, J, det, invJT = element_transforms(space.mesh, space.precision)
     if np.any(det <= 0):
         raise ValueError("degenerate element: non-positive Jacobian determinant")
-    invJT = np.empty_like(J)
-    invJT[:, 0, 0] = J[:, 1, 1]
-    invJT[:, 0, 1] = -J[:, 1, 0]
-    invJT[:, 1, 0] = -J[:, 0, 1]
-    invJT[:, 1, 1] = J[:, 0, 0]
-    invJT = invJT / det[:, None, None]
     return a, J, det, invJT
 
 
@@ -109,28 +107,14 @@ def assemble_load(space: FESpace, f, exactness: int = ASSEMBLY_DEGREE):
 
 
 def assemble_functional(space: FESpace, functional, exactness: int = EVALUATION_DEGREE):
-    """J_i = |Omega_J|^-1 int_{Omega_J} phi_i by characteristic-function
-    quadrature: points outside the region contribute zero."""
+    """J_i = |Omega_J|^-1 int_{Omega_J} phi_i: the load of the region's
+    characteristic function (points outside contribute zero), scaled by
+    the inverse area at space precision."""
     if functional.area <= 0:
         raise ValueError(f"functional {functional.name} has zero-area region")
     p = space.precision
-    rule = quadrature(exactness)
-    a, J, det, _ = _element_geometry(space)
-    phi = round_to(basis_values(space.degree, rule.points), p)
-    w = round_to(rule.weights, p)
-    ref = round_to(rule.points[:, 1:], p)
     inv_area = round_to(1.0 / functional.area, p)
-
-    ne = space.mesh.n_elements
-    local = np.zeros((ne, space.ndof_local), dtype=p.dtype)
-    for q in range(rule.points.shape[0]):
-        x = a + _contract(J, ref[q])
-        inside = functional.contains(x[:, 0], x[:, 1]).astype(p.dtype)
-        local += ((w[q] * det) * inside)[:, None] * phi[q][None, :]
-
-    out = np.zeros(space.n_dofs, dtype=p.dtype)
-    np.add.at(out, space.element_dof_map.ravel(), local.ravel())
-    return round_to(inv_area * out, p)
+    return round_to(inv_area * assemble_load(space, functional.contains, exactness), p)
 
 
 def apply_dirichlet(A, rhs, bdofs):

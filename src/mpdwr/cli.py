@@ -1,5 +1,5 @@
 """Command-line experiments: orthogonality tables, adaptive runs, dual-solve
-timing, the precision microbenchmark, and the precision-limit study.
+timing, whole-simulation timing, and the precision-limit study.
 
 Every command writes CSV with a metadata comment line (precision pair,
 quadrature degrees, solver tolerance, version) and, where a figure helps,
@@ -252,7 +252,7 @@ def adapt(pname, jname, theta, tol_ladder, max_iter, precision_pair, out, solver
         u_last, _ = solve_primal(mesh_d, prob, p_primal, tol=solver_tol, maxit=maxit)
         w_last, _ = dual_solve_mpdwr(mesh_d, func, p_dual, tol=solver_tol, maxit=maxit)
         res = residual_indicator(u_last, prob.f)
-        dwr = dwr_indicator(res, w_last, cfg.dwr_weight)
+        dwr = dwr_indicator(res, w_last, "gradient")
         vols = meshmod.element_areas(mesh_d)
         rows = [
             f"{i},{res.values[i]:.6e},{dwr.values[i]:.6e},{vols[i]:.6e}"
@@ -278,35 +278,20 @@ def compare_dual(depths, reps, pname, jname, out, solver_tol, maxit):
         u, _ = solve_primal(mesh, prob, "single", tol=solver_tol, maxit=maxit)
         res = residual_indicator(u, prob.f)
 
-        def time_phase(fn):
+        fine_dofs = meshmod.global_refine(mesh).n_vertices
+        p2_dofs = mesh.n_vertices + meshmod.edge_table(mesh).n_edges
+        # each strategy yields the dual weight on the primal space
+        for label, dual, ddofs in (
+            ("Approach1", lambda: dual_solve_approach1(mesh, func, tol=solver_tol, maxit=maxit)[1], fine_dofs),
+            ("Approach2", lambda: dual_solve_approach2(mesh, func, tol=solver_tol, maxit=maxit)[1], p2_dofs),
+            ("MP-DWR", lambda: dual_solve_mpdwr(mesh, func, "double", tol=solver_tol, maxit=maxit)[0], mesh.n_vertices),
+        ):
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter()
-                fn()
+                dwr_indicator(res, dual(), "gradient")
                 times.append(time.perf_counter() - t0)
-            return float(np.median(times))
-
-        def run_a1():
-            _, w = dual_solve_approach1(mesh, func, tol=solver_tol, maxit=maxit)
-            dwr_indicator(res, w, "gradient")
-
-        def run_a2():
-            _, w = dual_solve_approach2(mesh, func, tol=solver_tol, maxit=maxit)
-            dwr_indicator(res, w, "gradient")
-
-        def run_mp():
-            w, _ = dual_solve_mpdwr(mesh, func, "double", tol=solver_tol, maxit=maxit)
-            dwr_indicator(res, w, "gradient")
-
-        fine_dofs = meshmod.global_refine(mesh).n_vertices
-        p2_dofs = mesh.n_vertices + meshmod.edge_table(mesh).n_edges
-        for label, fn, ddofs in (
-            ("Approach1", run_a1, fine_dofs),
-            ("Approach2", run_a2, p2_dofs),
-            ("MP-DWR", run_mp, mesh.n_vertices),
-        ):
-            t = time_phase(fn)
-            rows.append(f"{depth},{label},{ddofs},{mesh.n_elements},{t:.4e}")
+            rows.append(f"{depth},{label},{ddofs},{mesh.n_elements},{float(np.median(times)):.4e}")
             click.echo(rows[-1])
     _write_csv(
         out / "compare_dual.csv",
@@ -363,45 +348,6 @@ def bench(pname, jname, target_tol, theta, max_iter, out, solver_tol, maxit):
         _meta_line("single:double vs double:double", solver_tol),
         "method,adapted_dofs,adapted_elements,final_je,total_seconds,post_seconds",
         rows,
-    )
-
-
-@main.command()
-@click.option("--n", default=10_000_000, show_default=True)
-@click.option("--reps", default=5, show_default=True)
-@click.option("--out", default="out", show_default=True, type=click.Path(path_type=Path))
-def microbench(n, reps, out):
-    """Time n accumulations of 4*atan(1) at double and single precision."""
-
-    def run(dtype):
-        ones = np.ones(n, dtype=dtype)
-        buf = np.empty(n, dtype=dtype)
-        csum = np.empty(n, dtype=dtype)
-        times = []
-        total = None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            np.arctan(ones, out=buf)
-            np.multiply(buf, dtype(4.0), out=buf)
-            np.cumsum(buf, out=csum)
-            total = float(csum[-1])
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times)), total
-
-    t_double, sum_double = run(np.float64)
-    t_single, sum_single = run(np.float32)
-    ratio = t_single / t_double
-    rows = [
-        f"double,{t_double:.4e},{sum_double:.8e}",
-        f"single,{t_single:.4e},{sum_single:.8e}",
-    ]
-    click.echo(f"double {t_double*1e3:.1f} ms, single {t_single*1e3:.1f} ms, ratio {ratio:.3f}")
-    _write_csv(
-        out / "microbench.csv",
-        _meta_line("single:double", None),
-        "precision,median_seconds,accumulator",
-        rows,
-        trailer=[f"single/double time ratio = {ratio:.4f}", f"n = {n}"],
     )
 
 

@@ -3,10 +3,12 @@
 The loop follows the seven steps: build the space at the primal precision,
 solve the primal, evaluate the goal error, stop or solve the dual at the
 dual precision on the identical mesh and DoF numbering, combine into the
-dual-weighted indicator, mark and bisect.  A residual-indicator twin of the
-loop serves as the classic baseline, and two conventional dual-solve
-strategies (globally refined mesh, higher polynomial degree) are provided
-for cost comparisons.
+dual-weighted indicator, mark and bisect.  The dual is the primal program
+at another precision: every solve, primal, dual or post-process, runs
+through one assemble-eliminate-solve helper, and every driver (MP-DWR, the
+revised split, the residual-indicator twin, the precision cascade) runs
+the same loop.  Two conventional dual-solve strategies (globally refined
+mesh, higher polynomial degree) are provided for cost comparisons.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from . import mesh as meshmod
 from .assembly import apply_dirichlet, assemble_functional, assemble_load, assemble_stiffness
 from .estimator import IndicatorField, dwr_indicator, estimate_Je, residual_indicator
 from .fespace import Solution, build_space, l2_error
-from .linsolve import pcg
-from .problems import Functional, Problem, functional_error
+from .linsolve import PCGError, pcg
+from .problems import Functional, Problem, _goal_and_l2_errors
 from .scalar import DOUBLE, HALF, SINGLE, Precision, precision
 
 
@@ -30,7 +32,6 @@ from .scalar import DOUBLE, HALF, SINGLE, Precision, precision
 class AdaptConfig:
     primal_precision: Precision = SINGLE
     dual_precision: Precision = DOUBLE
-    degree: int = 1
     tol: float = 1e-4
     max_iter: int = 20
     marking_theta: float = 0.5
@@ -38,9 +39,7 @@ class AdaptConfig:
     min_volume_guard: float = 1e-6
     initial_refines: int = 2
     indicator: str = "dwr"          # "dwr" | "residual"
-    dwr_weight: str = "gradient"    # local dual weight: "gradient" | "value"
     dual_method: str = "mpdwr"      # "mpdwr" | "approach1" | "approach2"
-    bisections_per_iteration: int = 1
     track_je: bool = True           # skip goal-error evaluation when False
     solver_tol: float | None = None
     solver_maxit: int | None = None
@@ -55,8 +54,6 @@ class AdaptConfig:
             raise ValueError(f"unknown je_mode {self.je_mode!r}")
         if self.indicator not in ("dwr", "residual"):
             raise ValueError(f"unknown indicator {self.indicator!r}")
-        if self.dwr_weight not in ("gradient", "value"):
-            raise ValueError(f"unknown dwr_weight {self.dwr_weight!r}")
         if self.dual_method not in ("mpdwr", "approach1", "approach2"):
             raise ValueError(f"unknown dual_method {self.dual_method!r}")
 
@@ -79,6 +76,7 @@ class IterationRecord:
     primal_precision: str
     dual_precision: str
     t_eval: float = 0.0  # J(e), L2 error and minimum element volume
+    dual_iterations: int = 0  # PCG iterations of the iteration's dual (0: none solved)
 
 
 @dataclass
@@ -93,7 +91,7 @@ class AdaptHistory:
     CSV_COLUMNS = (
         "iter,ndofs,nelems,je,eta_total,min_vol,"
         "t_primal,t_dual,t_indicator,t_refine,primal_prec,dual_prec,"
-        "l2,primal_residual,t_eval"
+        "l2,primal_residual,t_eval,dual_iters"
     )
 
     def csv_rows(self):
@@ -105,7 +103,7 @@ class AdaptHistory:
                 f"{r.min_volume:.9e},{r.t_primal:.6e},{r.t_dual:.6e},"
                 f"{r.t_indicator:.6e},{r.t_refine:.6e},"
                 f"{r.primal_precision},{r.dual_precision},"
-                f"{r.l2:.9e},{r.primal_residual:.9e},{r.t_eval:.6e}"
+                f"{r.l2:.9e},{r.primal_residual:.9e},{r.t_eval:.6e},{r.dual_iterations}"
             )
         return rows
 
@@ -124,22 +122,49 @@ def initial_mesh(refines: int = 2) -> meshmod.Mesh:
     return m
 
 
-def solve_primal(mesh, problem: Problem, p, degree=1, tol=None, maxit=None, x0=None):
-    """Assemble, eliminate boundary conditions and PCG-solve the primal.
+def _solve(mesh, degree, p, rhs, tol=None, maxit=None, x0=None):
+    """Assemble at precision p, eliminate boundary conditions, PCG-solve.
 
-    The report carries the true residual ||F - A x|| evaluated in double;
-    for lower-precision solves it floors at the precision's rounding level
-    and grows with the problem size, which is what the limit monitor
-    watches.  x0 is an optional PCG start vector (see linsolve.pcg).
+    rhs(space) assembles the right-hand side.  The report carries the true
+    residual ||F - A x|| evaluated in double; for lower-precision solves it
+    floors at the precision's rounding level and grows with the problem
+    size, which is what the limit monitor watches.  Raises PCGError.
     """
     space = build_space(mesh, degree, p)
     A = assemble_stiffness(space)
-    F = assemble_load(space, problem.f)
+    F = rhs(space)
     A, F = apply_dirichlet(A, F, space.boundary_dofs)
     x, report = pcg(A, F, p, tol=tol, maxit=maxit, x0=x0)
-    r = F.astype(np.float64) - A.astype(np.float64) @ x.astype(np.float64)
+    r = F.astype(np.float64, copy=False) - A.astype(np.float64, copy=False) @ x.astype(np.float64, copy=False)
     report.true_residual = float(np.linalg.norm(r))
     return Solution(space, x), report
+
+
+def solve_primal(mesh, problem: Problem, p, degree=1, tol=None, maxit=None, x0=None):
+    """Assemble, eliminate boundary conditions and PCG-solve the primal.
+
+    Returns (solution, report); x0 is an optional PCG start vector (see
+    linsolve.pcg).
+    """
+    return _solve(mesh, degree, p, lambda space: assemble_load(space, problem.f), tol, maxit, x0)
+
+
+def _dual(mesh, functional, p, method="mpdwr", tol=None, maxit=None):
+    """Dual solve by method: "mpdwr" on the same mesh and degree,
+    "approach1" on the globally refined mesh, "approach2" at degree 2.
+
+    Returns (solved dual, its restriction to the degree-1 space of mesh,
+    report).  The restriction takes the values at the mesh vertices, which
+    global refinement and the degree-2 numbering both keep as the leading
+    block; for the refined mesh it is exact.
+    """
+    solve_mesh = meshmod.global_refine(mesh) if method == "approach1" else mesh
+    degree = 2 if method == "approach2" else 1
+    w, report = _solve(solve_mesh, degree, p, lambda space: assemble_functional(space, functional), tol, maxit)
+    if method == "mpdwr":
+        return w, w, report
+    restricted = Solution(build_space(mesh, 1, p), w.coefficients[: mesh.n_vertices].copy())
+    return w, restricted, report
 
 
 def dual_solve_mpdwr(mesh, functional: Functional, p_dual, tol=None, maxit=None):
@@ -148,32 +173,18 @@ def dual_solve_mpdwr(mesh, functional: Functional, p_dual, tol=None, maxit=None)
     The stiffness operator is symmetric, so the dual system matrix equals
     the primal one assembled at the dual precision; no re-meshing and no
     DoF renumbering happen here, which is the structural source of the
-    indicator-generation speedup.
+    indicator-generation speedup.  Returns (solution, report).
     """
-    space = build_space(mesh, 1, p_dual)
-    A = assemble_stiffness(space)
-    Jvec = assemble_functional(space, functional)
-    A, Jvec = apply_dirichlet(A, Jvec, space.boundary_dofs)
-    x, report = pcg(A, Jvec, p_dual, tol=tol, maxit=maxit)
-    return Solution(space, x), report
+    w, _, report = _dual(mesh, functional, p_dual, "mpdwr", tol, maxit)
+    return w, report
 
 
 def dual_solve_approach1(mesh, functional: Functional, p=DOUBLE, tol=None, maxit=None):
     """Classic h-refinement dual: solve on a globally refined mesh.
 
     Returns (fine solution, its nodal restriction to the original mesh).
-    The restriction is exact because global refinement keeps the coarse
-    vertices as the leading block of the fine numbering.
     """
-    fine = meshmod.global_refine(mesh)
-    space = build_space(fine, 1, p)
-    A = assemble_stiffness(space)
-    Jvec = assemble_functional(space, functional)
-    A, Jvec = apply_dirichlet(A, Jvec, space.boundary_dofs)
-    x, report = pcg(A, Jvec, p, tol=tol, maxit=maxit)
-    w_fine = Solution(space, x)
-    coarse_space = build_space(mesh, 1, p)
-    w_restricted = Solution(coarse_space, x[: mesh.n_vertices].copy())
+    w_fine, w_restricted, _ = _dual(mesh, functional, p, "approach1", tol, maxit)
     return w_fine, w_restricted
 
 
@@ -182,14 +193,7 @@ def dual_solve_approach2(mesh, functional: Functional, p=DOUBLE, tol=None, maxit
 
     Returns (quadratic solution, its vertex-value restriction to degree 1).
     """
-    space = build_space(mesh, 2, p)
-    A = assemble_stiffness(space)
-    Jvec = assemble_functional(space, functional)
-    A, Jvec = apply_dirichlet(A, Jvec, space.boundary_dofs)
-    x, report = pcg(A, Jvec, p, tol=tol, maxit=maxit)
-    w2 = Solution(space, x)
-    p1_space = build_space(mesh, 1, p)
-    w_restricted = Solution(p1_space, x[: mesh.n_vertices].copy())
+    w2, w_restricted, _ = _dual(mesh, functional, p, "approach2", tol, maxit)
     return w2, w_restricted
 
 
@@ -227,125 +231,123 @@ def post_process(mesh, problem: Problem, tol=None, maxit=None, u0=None):
     return u, time.perf_counter() - t0, report.iterations
 
 
-def _post_process_into(history, mesh, problem, cfg, u):
-    """Warm-started double post-process of the final primal u; records the
-    time, PCG iterations and L2 error in the history."""
-    u_pp, history.post_process_time, history.post_iterations = post_process(
-        mesh, problem, cfg.solver_tol, cfg.solver_maxit, u0=u
-    )
-    history.post_l2 = l2_error(u_pp, problem.u_exact)
-    return u_pp
-
-
 def _solve_dual(mesh, functional, cfg, p_dual):
-    """Dual weight per the configured method; classical approaches feed the
-    indicator through their restriction to the primal space."""
-    if cfg.dual_method == "approach1":
-        _, w = dual_solve_approach1(mesh, functional, p_dual, cfg.solver_tol, cfg.solver_maxit)
-    elif cfg.dual_method == "approach2":
-        _, w = dual_solve_approach2(mesh, functional, p_dual, cfg.solver_tol, cfg.solver_maxit)
-    else:
-        w, _ = dual_solve_mpdwr(mesh, functional, p_dual, cfg.solver_tol, cfg.solver_maxit)
-    return w
-
-
-def _one_iteration(mesh, problem, functional, cfg, k, p_primal, p_dual):
-    """Run one adaptive iteration; returns the record plus loop state."""
+    """Dual weight per the configured method, with its seconds and PCG
+    iterations; classical approaches feed the indicator through their
+    restriction to the primal space."""
     t0 = time.perf_counter()
-    u, prep = solve_primal(mesh, problem, p_primal, cfg.degree, cfg.solver_tol, cfg.solver_maxit)
-    t_primal = time.perf_counter() - t0
-
-    w = None
-    t_dual = 0.0
-    if cfg.je_mode == "estimated" or cfg.indicator == "dwr":
-        need_dual_now = cfg.je_mode == "estimated"
-        if need_dual_now:
-            t0 = time.perf_counter()
-            w = _solve_dual(mesh, functional, cfg, p_dual)
-            t_dual = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if not cfg.track_je:
-        je = float("nan")
-    elif cfg.je_mode == "exact":
-        je = functional_error(functional, problem.u_exact, u)
-    else:
-        je = estimate_Je(u, w, problem.f)
-    l2 = l2_error(u, problem.u_exact)
-    min_vol = meshmod.min_element_volume(mesh)
-    t_eval = time.perf_counter() - t0
-
-    stop = (cfg.track_je and abs(je) <= cfg.tol) or k >= cfg.max_iter
-    guard_tripped = min_vol < cfg.min_volume_guard
-    record = IterationRecord(
-        iteration=k,
-        n_dofs=u.space.n_dofs,
-        n_elements=mesh.n_elements,
-        je=je,
-        eta_res_total=0.0,
-        eta_dwr_total=0.0,
-        min_volume=min_vol,
-        l2=l2,
-        primal_residual=prep.true_residual,
-        t_primal=t_primal,
-        t_dual=t_dual,
-        t_indicator=0.0,
-        t_refine=0.0,
-        primal_precision=p_primal.name,
-        dual_precision=p_dual.name,
-        t_eval=t_eval,
-    )
-    return record, u, w, stop, guard_tripped
+    _, w, report = _dual(mesh, functional, p_dual, cfg.dual_method, cfg.solver_tol, cfg.solver_maxit)
+    return w, time.perf_counter() - t0, report.iterations
 
 
-def _adapt_loop(problem, functional, cfg, mesh=None):
-    p_primal, p_dual = cfg.primal_precision, cfg.dual_precision
+def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
+    """The adaptive loop of every driver.
+
+    pairs is the precision schedule, a list of (primal, dual) precisions
+    (default: cfg's pair).  Before the last pair, a run moves on to the next
+    pair when switch(history, k) is true or the volume guard trips; the
+    switch takes effect at iteration k + 1, iteration k's dual stays at the
+    old pair.  A PCG failure is flagged and stops the run; the returned
+    mesh and solution are then those of the last completed primal solve.
+    """
+    pairs = pairs or [(cfg.primal_precision, cfg.dual_precision)]
     if mesh is None:
         mesh = initial_mesh(cfg.initial_refines)
     history = AdaptHistory()
-    u = None
-    k = 0
-    while True:
-        record, u, w, stop, guard_tripped = _one_iteration(
-            mesh, problem, functional, cfg, k, p_primal, p_dual
-        )
-        if guard_tripped:
-            history.flags.append(
-                f"min element volume {record.min_volume:.3e} below guard "
-                f"{cfg.min_volume_guard:.1e} at iteration {k}"
-            )
-        if stop or guard_tripped:
-            history.records.append(record)
-            break
-
-        if cfg.indicator == "dwr" and w is None:
+    stage, k, u = 0, 0, None
+    try:
+        while True:
+            p_primal, p_dual = pairs[stage]
+            last_pair = stage == len(pairs) - 1
             t0 = time.perf_counter()
-            w = _solve_dual(mesh, functional, cfg, p_dual)
-            record.t_dual = time.perf_counter() - t0
+            u, prep = solve_primal(mesh, problem, p_primal, 1, cfg.solver_tol, cfg.solver_maxit)
+            t_primal = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        res = residual_indicator(u, problem.f)
-        record.eta_res_total = res.total
-        if cfg.indicator == "dwr":
-            ind = dwr_indicator(res, w, cfg.dwr_weight)
-            record.eta_dwr_total = ind.total
-        else:
-            ind = res
-        record.t_indicator = time.perf_counter() - t0
+            w, t_dual, dual_iterations = None, 0.0, 0
+            if cfg.je_mode == "estimated":
+                w, t_dual, dual_iterations = _solve_dual(mesh, functional, cfg, p_dual)
 
-        marked = marking(ind, cfg.marking_theta)
-        if marked.size == 0:
-            history.flags.append(f"all-zero indicator at iteration {k}; stopping")
+            t0 = time.perf_counter()
+            if cfg.track_je and cfg.je_mode == "exact":
+                je, l2 = _goal_and_l2_errors(functional, problem.u_exact, u)
+            else:
+                je = estimate_Je(u, w, problem.f) if cfg.track_je else float("nan")
+                l2 = l2_error(u, problem.u_exact)
+            min_vol = meshmod.min_element_volume(mesh)
+            record = IterationRecord(
+                iteration=k,
+                n_dofs=u.space.n_dofs,
+                n_elements=mesh.n_elements,
+                je=je,
+                eta_res_total=0.0,
+                eta_dwr_total=0.0,
+                min_volume=min_vol,
+                l2=l2,
+                primal_residual=prep.true_residual,
+                t_primal=t_primal,
+                t_dual=t_dual,
+                t_indicator=0.0,
+                t_refine=0.0,
+                primal_precision=p_primal.name,
+                dual_precision=p_dual.name,
+                t_eval=time.perf_counter() - t0,
+                dual_iterations=dual_iterations,
+            )
             history.records.append(record)
-            break
-        t0 = time.perf_counter()
-        mesh = meshmod.bisect_marked(mesh, marked, cfg.bisections_per_iteration)
-        record.t_refine = time.perf_counter() - t0
-        history.records.append(record)
-        k += 1
 
-    if cfg.post_process and p_primal is not DOUBLE:
-        u = _post_process_into(history, mesh, problem, cfg, u)
+            converged = cfg.track_je and abs(je) <= cfg.tol
+            if converged and cfg.je_mode == "estimated":
+                history.flags.append(
+                    f"stopped at iteration {k} on the estimated J(e), which pairs the "
+                    f"primal with a dual on the same mesh and so covers only the "
+                    f"algebraic error, not the discretisation error"
+                )
+            guard_tripped = min_vol < cfg.min_volume_guard
+            if guard_tripped and last_pair:
+                history.flags.append(
+                    f"min element volume {min_vol:.3e} below guard "
+                    f"{cfg.min_volume_guard:.1e} at iteration {k}"
+                )
+            if converged or k >= cfg.max_iter or (guard_tripped and last_pair):
+                break
+            if not last_pair and (guard_tripped or switch(history, k)):
+                stage += 1
+                history.switched_at = k + 1
+                p_next = pairs[stage]
+                history.flags.append(
+                    f"cascade switch to ({p_next[0].name}, {p_next[1].name}) after iteration {k}"
+                )
+
+            if cfg.indicator == "dwr" and w is None:
+                w, record.t_dual, record.dual_iterations = _solve_dual(mesh, functional, cfg, p_dual)
+
+            t0 = time.perf_counter()
+            ind = res = residual_indicator(u, problem.f)
+            record.eta_res_total = res.total
+            if cfg.indicator == "dwr":
+                ind = dwr_indicator(res, w, "gradient")
+                record.eta_dwr_total = ind.total
+            record.t_indicator = time.perf_counter() - t0
+
+            marked = marking(ind, cfg.marking_theta)
+            if marked.size == 0:
+                history.flags.append(f"all-zero indicator at iteration {k}; stopping")
+                break
+            t0 = time.perf_counter()
+            mesh = meshmod.bisect_marked(mesh, marked)
+            record.t_refine = time.perf_counter() - t0
+            k += 1
+    except PCGError as err:
+        history.flags.append(f"PCG failure in adaptive iteration {k} ({err}); stopping")
+        if u is not None:
+            mesh = u.space.mesh
+
+    if cfg.post_process and u is not None and u.precision is not DOUBLE:
+        # warm-started double re-solve of the final primal
+        u, history.post_process_time, history.post_iterations = post_process(
+            mesh, problem, cfg.solver_tol, cfg.solver_maxit, u0=u
+        )
+        history.post_l2 = l2_error(u, problem.u_exact)
     return mesh, u, history
 
 
@@ -421,64 +423,23 @@ def limit_monitor(history: AdaptHistory, guard: float = 1e-6) -> Diagnosis:
 def precision_cascade(problem, functional, cfg: AdaptConfig, mesh=None, force_switch_at=None):
     """Half/single run that switches to single/double when the monitor trips.
 
-    Starts at (half, single); once limit_monitor flags stagnation or the
-    volume guard (or at the forced iteration, for testing), the remaining
+    Starts at (half, single); once limit_monitor flags the volume guard, the
+    half primal's error stalls over the last three records, the guard
+    trips (or at the forced iteration, for testing), the remaining
     iterations run at (single, double).  The switch point is recorded in
     the history.
     """
-    if mesh is None:
-        mesh = initial_mesh(cfg.initial_refines)
+
+    def switch(history, k):
+        if force_switch_at is not None and k >= force_switch_at:
+            return True
+        if len(history.records) < 3:
+            return False
+        # at stage 0 the primal is half, not single; apply the same
+        # stagnation rule to the recorded error trail directly
+        last = history.records[-3:]
+        half_stalled = last[-1].l2 > 0.98 * last[0].l2
+        return limit_monitor(history, cfg.min_volume_guard).volume_flag or half_stalled
+
     pairs = [(HALF, SINGLE), (SINGLE, DOUBLE)]
-    stage = 0
-    history = AdaptHistory()
-    u = None
-    k = 0
-    while True:
-        p_primal, p_dual = pairs[stage]
-        stage_cfg = dataclasses.replace(
-            cfg, primal_precision=p_primal, dual_precision=p_dual
-        )
-        record, u, w, stop, guard_tripped = _one_iteration(
-            mesh, problem, functional, stage_cfg, k, p_primal, p_dual
-        )
-        history.records.append(record)
-        if stop:
-            break
-        if guard_tripped and stage == 1:
-            history.flags.append(
-                f"min element volume below guard at iteration {k}; stopping"
-            )
-            break
-
-        if stage == 0:
-            trip = force_switch_at is not None and k >= force_switch_at
-            if not trip and len(history.records) >= 3:
-                diag = limit_monitor(history, cfg.min_volume_guard)
-                # at stage 0 the primal is half, not single; apply the same
-                # stagnation rule to the recorded error trail directly
-                last = history.records[-3:]
-                half_stalled = last[-1].l2 > 0.98 * last[0].l2
-                trip = diag.volume_flag or half_stalled
-            if guard_tripped:
-                trip = True
-            if trip:
-                stage = 1
-                history.switched_at = k + 1
-                history.flags.append(f"cascade switch to (single, double) after iteration {k}")
-
-        if w is None:
-            w, _ = dual_solve_mpdwr(mesh, functional, p_dual, stage_cfg.solver_tol, stage_cfg.solver_maxit)
-        res = residual_indicator(u, problem.f)
-        record.eta_res_total = res.total
-        ind = dwr_indicator(res, w, cfg.dwr_weight)
-        record.eta_dwr_total = ind.total
-        marked = marking(ind, cfg.marking_theta)
-        if marked.size == 0:
-            history.flags.append(f"all-zero indicator at iteration {k}; stopping")
-            break
-        mesh = meshmod.bisect_marked(mesh, marked, cfg.bisections_per_iteration)
-        k += 1
-
-    if history.records[-1].primal_precision != "double" and cfg.post_process:
-        u = _post_process_into(history, mesh, problem, cfg, u)
-    return mesh, u, history
+    return _adapt_loop(problem, functional, cfg, mesh, pairs, switch)

@@ -21,6 +21,7 @@ from .fespace import (
     Solution,
     basis_gradients,
     basis_values,
+    element_transforms,
     quad_points_physical,
     quadrature,
     solution_gradients,
@@ -88,26 +89,11 @@ def residual_indicator(u_h: Solution, f) -> IndicatorField:
     return IndicatorField(mesh=m, values=np.sqrt(eta_sq))
 
 
-def _check_same_mesh(u: Solution, v: Solution):
-    if u.space.mesh is not v.space.mesh and not (
-        np.array_equal(u.space.mesh.vertices, v.space.mesh.vertices)
-        and np.array_equal(u.space.mesh.elements, v.space.mesh.elements)
+def _check_same_mesh(m1, m2):
+    if m1 is not m2 and not (
+        np.array_equal(m1.vertices, m2.vertices) and np.array_equal(m1.elements, m2.elements)
     ):
-        raise ValueError("solutions live on different meshes")
-
-
-def _residual_pairing(u_h: Solution, v_h: Solution, f) -> float:
-    """(f, v_h) - a(u_h, v_h) in double with degree-8 quadrature."""
-    _check_same_mesh(u_h, v_h)
-    rule = quadrature(EVALUATION_DEGREE)
-    m = u_h.space.mesh
-    pts, wdet = quad_points_physical(m, rule)
-    fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=np.float64)
-    load_term = np.sum(wdet * fv * solution_values(v_h, rule))
-    gu = solution_gradients(u_h, rule)
-    gv = solution_gradients(v_h, rule)
-    energy_term = np.sum(wdet * (gu * gv).sum(axis=2))
-    return float(load_term - energy_term)
+        raise ValueError("operands live on different meshes")
 
 
 def galerkin_probe(u_h: Solution, v_h: Solution, f) -> float:
@@ -123,22 +109,11 @@ def galerkin_probe(u_h: Solution, v_h: Solution, f) -> float:
     keeps the accumulated single rounding of two large near-cancelling
     integrals and does not converge to zero.
     """
-    _check_same_mesh(u_h, v_h)
+    _check_same_mesh(u_h.space.mesh, v_h.space.mesh)
     p = v_h.space.precision
     rule = quadrature(EVALUATION_DEGREE)
     mesh = v_h.space.mesh
-
-    verts = round_to(mesh.vertices, p)
-    tri = verts[mesh.elements]
-    origin = tri[:, 0]
-    J = np.stack([tri[:, 1] - origin, tri[:, 2] - origin], axis=2)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    invJT = np.empty_like(J)
-    invJT[:, 0, 0] = J[:, 1, 1]
-    invJT[:, 0, 1] = -J[:, 1, 0]
-    invJT[:, 1, 0] = -J[:, 0, 1]
-    invJT[:, 1, 1] = J[:, 0, 0]
-    invJT = invJT / det[:, None, None]
+    origin, J, det, invJT = element_transforms(mesh, p)
 
     phi = round_to(basis_values(v_h.space.degree, rule.points), p)
     gref_u = round_to(basis_gradients(u_h.space.degree, rule.points), p)
@@ -169,13 +144,21 @@ def galerkin_probe(u_h: Solution, v_h: Solution, f) -> float:
 
 
 def estimate_Je(u_h: Solution, w: Solution, f) -> float:
-    """Goal-error estimate (f, w) - a(u_h, w) with the dual weight w.
+    """Goal-error estimate (f, w) - a(u_h, w) with the dual weight w, in
+    double with degree-8 quadrature.
 
     Degenerate same-precision pairs return solver-noise-level values, the
     failure mode the precision split exists to avoid.
     """
-    _check_same_mesh(u_h, w)
-    return _residual_pairing(u_h, w, f)
+    _check_same_mesh(u_h.space.mesh, w.space.mesh)
+    rule = quadrature(EVALUATION_DEGREE)
+    pts, wdet = quad_points_physical(u_h.space.mesh, rule)
+    fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=np.float64)
+    load_term = np.sum(wdet * fv * solution_values(w, rule))
+    gu = solution_gradients(u_h, rule)
+    gw = solution_gradients(w, rule)
+    energy_term = np.sum(wdet * (gu * gw).sum(axis=2))
+    return float(load_term - energy_term)
 
 
 def element_l2_norms(w: Solution) -> np.ndarray:
@@ -204,11 +187,7 @@ def dwr_indicator(res: IndicatorField, w: Solution, weight: str = "value") -> In
     region where the dual is least regular and steers goal-oriented
     refinement markedly better, so the adaptive driver uses it.
     """
-    if res.mesh is not w.space.mesh and not (
-        np.array_equal(res.mesh.vertices, w.space.mesh.vertices)
-        and np.array_equal(res.mesh.elements, w.space.mesh.elements)
-    ):
-        raise ValueError("indicator and dual weight live on different meshes")
+    _check_same_mesh(res.mesh, w.space.mesh)
     if weight == "value":
         wgt = element_l2_norms(w)
     elif weight == "gradient":

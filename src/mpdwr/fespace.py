@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as meshmod
-from .scalar import Precision, precision, round_to
+from .scalar import DOUBLE, Precision, precision, round_to
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +252,17 @@ def eval(u: Solution, points):  # noqa: A001 - spec operation name
 
 
 # ---------------------------------------------------------------------------
-# shared quadrature-evaluation helpers (double precision diagnostics)
+# element geometry and shared quadrature-evaluation helpers
 # ---------------------------------------------------------------------------
 
-def element_transforms(m: meshmod.Mesh):
-    """Affine maps ref -> phys in double: origins, J, detJ, inv(J)^T."""
-    v = m.vertices[m.elements]
+def element_transforms(m: meshmod.Mesh, p=DOUBLE):
+    """Affine maps ref -> phys at precision p: origins, J, detJ, inv(J)^T.
+
+    The vertices are rounded to p first (the identity at double), so
+    assembly at p and the orthogonality probe at p see the geometry that p
+    can represent; the diagnostics use the double default.
+    """
+    v = round_to(m.vertices, p)[m.elements]
     a = v[:, 0]
     J = np.stack([v[:, 1] - a, v[:, 2] - a], axis=2)  # (ne, 2, 2), columns
     det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
@@ -326,20 +331,24 @@ def solution_gradients(u: Solution, rule: QuadratureRule) -> np.ndarray:
     return out
 
 
-def l2_error(u: Solution, exact) -> float:
-    """Elementwise degree-8 L2 norm of (exact - u), computed in double."""
+def _evaluation_pass(u: Solution, exact):
+    """One degree-8 evaluation of exact and u on u's mesh, in double.
+
+    Returns (points, weights*detJ, exact values, u values, L2 error of
+    exact - u); l2_error and problems.functional_error share it, so an
+    adaptive iteration evaluates the exact solution once.
+    """
     rule = quadrature(EVALUATION_DEGREE)
     pts, wdet = quad_points_physical(u.space.mesh, rule)
-    diff = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=np.float64)
-    diff = diff - solution_values(u, rule)
-    return float(np.sqrt(np.sum(wdet * diff**2)))
+    exact_vals = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=np.float64)
+    u_vals = solution_values(u, rule)
+    l2 = float(np.sqrt(np.sum(wdet * (exact_vals - u_vals) ** 2)))
+    return pts, wdet, exact_vals, u_vals, l2
 
 
-def l2_norm_field(m: meshmod.Mesh, g) -> float:
-    rule = quadrature(EVALUATION_DEGREE)
-    pts, wdet = quad_points_physical(m, rule)
-    vals = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=np.float64)
-    return float(np.sqrt(np.sum(wdet * vals**2)))
+def l2_error(u: Solution, exact) -> float:
+    """Elementwise degree-8 L2 norm of (exact - u), computed in double."""
+    return _evaluation_pass(u, exact)[4]
 
 
 def save_solution_text(u: Solution, path):

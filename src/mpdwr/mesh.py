@@ -138,17 +138,6 @@ def min_element_volume(mesh: Mesh) -> float:
     return float(element_areas(mesh).min())
 
 
-def element_patches(mesh: Mesh) -> list:
-    """Neighbor patches: for each element, itself plus its edge neighbors."""
-    et = edge_table(mesh)
-    patches = [[e] for e in range(mesh.n_elements)]
-    interior = (et.edge_to_elem >= 0).all(axis=1)
-    for left, right in et.edge_to_elem[interior]:
-        patches[left].append(int(right))
-        patches[right].append(int(left))
-    return [sorted(set(p)) for p in patches]
-
-
 def min_angle(mesh: Mesh) -> float:
     """Smallest interior angle over all elements, in radians."""
     v = mesh.vertices[mesh.elements]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fespace import EVALUATION_DEGREE, Solution, quad_points_physical, quadrature, solution_values
+from .fespace import EVALUATION_DEGREE, Solution, _evaluation_pass, quad_points_physical, quadrature, solution_values
 
 # below this |y|, 1 - y^-4 < log(smallest normal double) and exp underflows
 _Y_CUTOFF = 0.19
@@ -185,17 +185,11 @@ def get_functional(name: str) -> Functional:
         raise ValueError(f"unknown functional {name!r}; expected one of {sorted(_FUNCTIONALS)}")
 
 
-def _region_weights(functional: Functional, mesh):
-    """Degree-8 points and quadrature weights masked to the region."""
+def _region_weights(functional: Functional, pts, wdet):
+    """Quadrature weights masked to the region."""
     if functional.area <= 0:
         raise ValueError(f"functional {functional.name} has zero-area region")
-    rule = quadrature(EVALUATION_DEGREE)
-    pts, wdet = quad_points_physical(mesh, rule)
-    return rule, pts, wdet * functional.contains(pts[..., 0], pts[..., 1])
-
-
-def _field_values(u, pts):
-    return np.asarray(u(pts[..., 0], pts[..., 1]), dtype=np.float64)
+    return wdet * functional.contains(pts[..., 0], pts[..., 1])
 
 
 def eval_functional(functional: Functional, u, mesh=None) -> float:
@@ -209,14 +203,25 @@ def eval_functional(functional: Functional, u, mesh=None) -> float:
         mesh = u.space.mesh
     elif mesh is None:
         raise ValueError("a mesh is required to evaluate a plain field")
-    rule, pts, weights = _region_weights(functional, mesh)
-    vals = solution_values(u, rule) if isinstance(u, Solution) else _field_values(u, pts)
+    rule = quadrature(EVALUATION_DEGREE)
+    pts, wdet = quad_points_physical(mesh, rule)
+    weights = _region_weights(functional, pts, wdet)
+    if isinstance(u, Solution):
+        vals = solution_values(u, rule)
+    else:
+        vals = np.asarray(u(pts[..., 0], pts[..., 1]), dtype=np.float64)
     return float(np.sum(weights * vals) / functional.area)
+
+
+def _goal_and_l2_errors(functional: Functional, u_exact, u_h: Solution):
+    """(J(e), L2 error of u_h) from one degree-8 evaluation of u_exact and u_h."""
+    pts, wdet, exact_vals, uh_vals, l2 = _evaluation_pass(u_h, u_exact)
+    weights = _region_weights(functional, pts, wdet)
+    j_exact = float(np.sum(weights * exact_vals) / functional.area)
+    j_h = float(np.sum(weights * uh_vals) / functional.area)
+    return j_exact - j_h, l2
 
 
 def functional_error(functional: Functional, u_exact, u_h: Solution) -> float:
     """J(e) = J(u_exact) - J(u_h), both by quadrature on u_h's mesh."""
-    rule, pts, weights = _region_weights(functional, u_h.space.mesh)
-    j_exact = float(np.sum(weights * _field_values(u_exact, pts)) / functional.area)
-    j_h = float(np.sum(weights * solution_values(u_h, rule)) / functional.area)
-    return j_exact - j_h
+    return _goal_and_l2_errors(functional, u_exact, u_h)[0]

@@ -1,6 +1,5 @@
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -119,21 +118,6 @@ def test_compare_dual_command(runner, tmp_path):
     # the h-refined dual system has ~4x the unknowns
     assert 3.5 <= dofs["Approach1"] / dofs["MP-DWR"] <= 4.5
     assert dofs["Approach2"] == dofs["Approach1"]
-
-
-def test_microbench_command(runner, tmp_path):
-    result = runner.invoke(
-        main,
-        ["microbench", "--n", "2000000", "--reps", "3", "--out", str(tmp_path)],
-        catch_exceptions=False,
-    )
-    assert result.exit_code == 0
-    meta, header, rows, trailer = read_csv(tmp_path / "microbench.csv")
-    assert header == "precision,median_seconds,accumulator"
-    acc = {r[0]: float(r[2]) for r in rows}
-    n = 2000000
-    assert abs(acc["double"] - n * np.pi) / (n * np.pi) <= 1e-4
-    assert abs(acc["single"] - n * np.pi) > abs(acc["double"] - n * np.pi)
 
 
 def test_limit_command(runner, tmp_path):

@@ -25,7 +25,7 @@ from mpdwr.estimator import IndicatorField
 from mpdwr.fespace import build_space, l2_error
 from mpdwr.mesh import edge_table, global_refine, unit_square_template
 from mpdwr.problems import Functional, get_functional, get_problem
-from mpdwr.scalar import DOUBLE, SINGLE
+from mpdwr.scalar import DOUBLE, HALF, SINGLE
 
 
 def small_cfg(**kw):
@@ -52,8 +52,6 @@ def test_config_validation():
         AdaptConfig(je_mode="oracle")
     with pytest.raises(ValueError):
         AdaptConfig(indicator="hierarchical")
-    with pytest.raises(ValueError):
-        AdaptConfig(dwr_weight="energy")
     cfg = AdaptConfig(primal_precision="single", dual_precision="double")
     assert cfg.primal_precision is SINGLE
     assert cfg.dual_precision is DOUBLE
@@ -421,6 +419,87 @@ def test_cascade_final_error_not_worse_than_pure_half():
     _, _, hist_cascade = precision_cascade(prob, func, cfg, force_switch_at=1)
     _, _, hist_half = precision_cascade(prob, func, cfg, force_switch_at=10**9)
     assert abs(hist_cascade.records[-1].je) <= abs(hist_half.records[-1].je) * (1 + 1e-6)
+
+
+def test_cascade_without_switch_equals_half_single_adapt():
+    prob, func = get_problem("e3"), get_functional("j1")
+    cfg = small_cfg(tol=1e-30, max_iter=2, post_process=True, min_volume_guard=0.0)
+    _, u_c, hist_c = precision_cascade(prob, func, cfg)
+    pair_cfg = dataclasses.replace(cfg, primal_precision=HALF, dual_precision=SINGLE)
+    _, u_a, hist_a = mpdwr_adapt(prob, func, pair_cfg)
+    assert hist_c.switched_at is None
+
+    def trail(hist):
+        return [
+            (r.n_dofs, r.je, r.l2, r.eta_dwr_total, r.primal_precision, r.dual_precision, r.dual_iterations)
+            for r in hist.records
+        ]
+
+    assert trail(hist_c) == trail(hist_a)
+    assert hist_c.post_l2 == hist_a.post_l2
+    assert u_c.coefficients.tobytes() == u_a.coefficients.tobytes()
+
+
+def test_cascade_records_time_every_phase():
+    prob, func = get_problem("e3"), get_functional("j1")
+    cfg = small_cfg(tol=1e-30, max_iter=4, post_process=False)
+    _, _, hist = precision_cascade(prob, func, cfg, force_switch_at=1)
+    assert hist.switched_at == 2
+    for r in hist.records[:-1]:
+        assert r.t_dual > 0.0
+        assert r.t_indicator > 0.0
+        assert r.t_refine > 0.0
+        assert r.dual_iterations > 0
+    assert hist.records[-1].dual_iterations == 0
+
+
+def test_dual_iterations_recorded_and_exported():
+    prob, func = get_problem("e3"), get_functional("j1")
+    mesh = initial_mesh(1)
+    _, rep = dual_solve_mpdwr(mesh, func, "double")
+    _, _, hist = mpdwr_adapt(prob, func, small_cfg(tol=1e-30, max_iter=2))
+    assert hist.records[0].dual_iterations == rep.iterations > 0
+    assert AdaptHistory.CSV_COLUMNS.endswith(",t_eval,dual_iters")
+    rows = hist.csv_rows()
+    assert [int(row.split(",")[-1]) for row in rows] == [r.dual_iterations for r in hist.records]
+    _, _, hist_res = residual_adapt(prob, func, small_cfg(tol=1e-30, max_iter=2))
+    assert all(r.dual_iterations == 0 for r in hist_res.records)
+
+
+def test_pcg_failure_in_loop_flags_and_keeps_history():
+    # a half dual cannot reach the 2e-6 solver tolerance: its PCG breaks
+    # down in the first iteration; the run stops with the record kept
+    prob, func = get_problem("e3"), get_functional("j2")
+    cfg = AdaptConfig(
+        primal_precision="single", dual_precision="half", tol=1e-4, max_iter=60,
+        min_volume_guard=0.0, solver_tol=2e-6, post_process=False,
+    )
+    mesh, u, hist = mpdwr_adapt(prob, func, cfg)
+    assert len(hist.records) == 1
+    assert any(f.startswith("PCG failure in adaptive iteration 0") for f in hist.flags)
+    assert u.space.mesh is mesh
+    assert u.space.n_dofs == hist.records[-1].n_dofs
+
+
+def test_pcg_failure_in_primal_returns_last_solved_mesh():
+    # maxit=1 makes every primal solve fail: no record, no solution, the
+    # initial mesh comes back
+    prob, func = get_problem("e3"), get_functional("j1")
+    start = initial_mesh(1)
+    mesh, u, hist = mpdwr_adapt(prob, func, small_cfg(solver_maxit=1, post_process=True), mesh=start)
+    assert u is None and mesh is start
+    assert hist.records == []
+    assert len(hist.flags) == 1 and hist.flags[0].startswith("PCG failure in adaptive iteration 0")
+
+
+def test_estimated_mode_stop_on_tol_is_flagged():
+    prob, func = get_problem("e3"), get_functional("j1")
+    cfg = small_cfg(je_mode="estimated", tol=1e-4, max_iter=20)
+    _, _, hist = mpdwr_adapt(prob, func, cfg)
+    assert abs(hist.records[-1].je) <= 1e-4
+    assert any("algebraic error" in f for f in hist.flags)
+    _, _, hist_exact = mpdwr_adapt(prob, func, small_cfg(tol=1e-2, max_iter=20))
+    assert not any("algebraic error" in f for f in hist_exact.flags)
 
 
 def test_history_csv_rows():

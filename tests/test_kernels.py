@@ -1,10 +1,14 @@
 """Bit-identity of the geometry and assembly kernels against references.
 
 The reference functions below are the straightforward einsum, batched
-matmul and ``np.unique(axis=0)`` formulations the kernels replace.  Every
-kernel must reproduce their bytes exactly, at every precision, so that
-adaptive runs keep producing the same meshes and the same error trails.
+matmul and ``np.unique(axis=0)`` formulations the kernels replace, plus
+frozen copies of the per-precision Jacobian code and of the orthogonality
+probe from before the geometry moved into ``fespace.element_transforms``.
+Every kernel must reproduce their bytes exactly, at every precision, so
+that adaptive runs keep producing the same meshes and the same error trails.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,11 +24,13 @@ from mpdwr.fespace import (
     basis_values,
     build_space,
     element_transforms,
+    interpolate,
     quad_points_physical,
     quadrature,
     solution_gradients,
 )
-from mpdwr.mesh import bisect_marked, edge_table
+from mpdwr.estimator import galerkin_probe
+from mpdwr.mesh import bisect_marked, edge_table, min_element_volume
 from mpdwr.problems import eval_functional, functional_error, get_functional, get_problem
 from mpdwr.scalar import round_to
 
@@ -51,6 +57,61 @@ def ref_edge_table(mesh):
     return edges, inverse.reshape(ne, 3), edge_to_elem, edge_local
 
 
+def ref_element_geometry(space):
+    p = space.precision
+    verts = round_to(space.mesh.vertices, p)
+    v = verts[space.mesh.elements]
+    a = v[:, 0]
+    J = np.stack([v[:, 1] - a, v[:, 2] - a], axis=2)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    if np.any(det <= 0):
+        raise ValueError("degenerate element: non-positive Jacobian determinant")
+    invJT = np.empty_like(J)
+    invJT[:, 0, 0] = J[:, 1, 1]
+    invJT[:, 0, 1] = -J[:, 1, 0]
+    invJT[:, 1, 0] = -J[:, 0, 1]
+    invJT[:, 1, 1] = J[:, 0, 0]
+    invJT = invJT / det[:, None, None]
+    return a, J, det, invJT
+
+
+def ref_galerkin_probe(u_h, v_h, f):
+    p = v_h.space.precision
+    rule = quadrature(EVALUATION_DEGREE)
+    mesh = v_h.space.mesh
+    verts = round_to(mesh.vertices, p)
+    tri = verts[mesh.elements]
+    origin = tri[:, 0]
+    J = np.stack([tri[:, 1] - origin, tri[:, 2] - origin], axis=2)
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    invJT = np.empty_like(J)
+    invJT[:, 0, 0] = J[:, 1, 1]
+    invJT[:, 0, 1] = -J[:, 1, 0]
+    invJT[:, 1, 0] = -J[:, 0, 1]
+    invJT[:, 1, 1] = J[:, 0, 0]
+    invJT = invJT / det[:, None, None]
+    phi = round_to(basis_values(v_h.space.degree, rule.points), p)
+    gref_u = round_to(basis_gradients(u_h.space.degree, rule.points), p)
+    gref_v = round_to(basis_gradients(v_h.space.degree, rule.points), p)
+    w = round_to(rule.weights, p)
+    ref = round_to(rule.points[:, 1:], p)
+    cu = round_to(u_h.coefficients.astype(np.float64), p)[u_h.space.element_dof_map]
+    cv = round_to(v_h.coefficients.astype(np.float64), p)[v_h.space.element_dof_map]
+    load = np.zeros(mesh.n_elements, dtype=p.dtype)
+    energy = np.zeros(mesh.n_elements, dtype=p.dtype)
+    for q in range(rule.points.shape[0]):
+        x = origin + J @ ref[q]
+        fq = round_to(np.asarray(f(x[:, 0], x[:, 1])), p)
+        vq = cv @ phi[q]
+        load += (w[q] * det) * fq * vq
+        gu = np.einsum("eab,ib->eia", invJT, gref_u[q])
+        gv = np.einsum("eab,ib->eia", invJT, gref_v[q])
+        du = np.einsum("eia,ei->ea", gu, cu)
+        dv = np.einsum("eia,ei->ea", gv, cv)
+        energy += (w[q] * det) * (du * dv).sum(axis=1)
+    return float(np.cumsum(load)[-1]) - float(np.cumsum(energy)[-1])
+
+
 def ref_quad_points(mesh, rule):
     a, J, det, _ = element_transforms(mesh)
     pts = a[:, None, :] + np.einsum("eij,qj->eqi", J, rule.points[:, 1:])
@@ -68,7 +129,7 @@ def ref_solution_gradients(u, rule):
 def ref_stiffness(space):
     p = space.precision
     rule = quadrature(ASSEMBLY_DEGREE)
-    _, _, det, invJT = assembly._element_geometry(space)
+    _, _, det, invJT = ref_element_geometry(space)
     gref = round_to(basis_gradients(space.degree, rule.points), p)
     w = round_to(rule.weights, p)
     local = np.zeros((space.mesh.n_elements, space.ndof_local, space.ndof_local), dtype=p.dtype)
@@ -81,7 +142,7 @@ def ref_stiffness(space):
 
 def ref_load_and_functional(space, f, functional):
     p = space.precision
-    a, J, det, _ = assembly._element_geometry(space)
+    a, J, det, _ = ref_element_geometry(space)
     out = []
     for degree, weight in ((ASSEMBLY_DEGREE, f), (EVALUATION_DEGREE, functional.contains)):
         rule = quadrature(degree)
@@ -141,8 +202,38 @@ def check_mesh_kernels(m, seed=0):
             assert same_bytes(solution_gradients(u, rule), ref_solution_gradients(u, rule))
 
 
+def jittered(m, seed=0):
+    """m with every vertex moved by at most 2 % of the smallest element
+    scale: same topology and orientation, but non-dyadic coordinates, so
+    rounding to binary16/32 and the division by det are no longer exact."""
+    rng = np.random.default_rng(seed)
+    h = np.sqrt(min_element_volume(m))
+    return dataclasses.replace(m, vertices=m.vertices + rng.uniform(-0.02 * h, 0.02 * h, m.vertices.shape))
+
+
+def check_geometry_and_probe(m):
+    for mesh in (m, jittered(m)):
+        check_geometry_and_probe_on(mesh)
+
+
+def check_geometry_and_probe_on(m):
+    prob = get_problem("e3")
+    u = interpolate(build_space(m, 1, "double"), prob.u_exact)
+    for got, want in zip(element_transforms(m), ref_element_geometry(build_space(m, 1, "double"))):
+        assert same_bytes(got, want)
+    for prec in ("half", "single", "double"):
+        space = build_space(m, 1, prec)
+        for got, want in zip(assembly._element_geometry(space), ref_element_geometry(space)):
+            assert same_bytes(got, want), prec
+        v = interpolate(space, prob.u_exact)
+        for a, b in ((u, v), (v, v)):
+            got, want = galerkin_probe(a, b, prob.f), ref_galerkin_probe(a, b, prob.f)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), prec
+
+
 def check_assembly(m):
     f, functional = get_problem("e3").f, get_functional("j3")
+    check_geometry_and_probe(m)
     for degree in (1, 2):
         for prec in ("half", "single", "double"):
             space = build_space(m, degree, prec)

@@ -186,18 +186,6 @@ def test_mesh_text_export(tmp_path):
     assert (x, y) == (-1.0, -1.0)
 
 
-def test_element_patches_contain_self_and_neighbors():
-    from mpdwr.mesh import element_patches
-
-    m = global_refine(unit_square_template())
-    et = edge_table(m)
-    patches = element_patches(m)
-    for e, patch in enumerate(patches):
-        assert e in patch
-        n_interior = int(((et.edge_to_elem[et.elem_to_edge[e]] >= 0).all(axis=1)).sum())
-        assert len(patch) == 1 + n_interior
-
-
 def test_deep_protocol_minvol_trend():
     # aggressive multi-generation rounds shrink the minimum volume by
     # orders of magnitude at modest element counts
