@@ -81,6 +81,15 @@ def pcg(A, b, p, tol=None, maxit=None, x0=None):
     def matvec(v):
         return round_to(A @ v, p)
 
+    # ||r|| is formed in double; below double through one reused buffer
+    r64 = None if dt == np.float64 else np.empty(n)
+
+    def relative_residual(r):
+        if r64 is not None:
+            np.copyto(r64, r)
+            r = r64
+        return float(np.sqrt(np.dot(r, r)) / bnorm)
+
     best_res = np.inf
     if x0 is None:
         x = np.zeros(n, dtype=dt)
@@ -88,13 +97,16 @@ def pcg(A, b, p, tol=None, maxit=None, x0=None):
     else:
         x = round_to(np.asarray(x0), p).copy()
         r = round_to(b - matvec(x), p)
-        best_res = float(np.linalg.norm(r.astype(np.float64, copy=False)) / bnorm)
+        best_res = relative_residual(r)
         if best_res <= tol:
             return x, SolveReport(0, best_res, time.perf_counter() - t0, p, tol, n)
     z = round_to(dinv * r, p)
     d = z.copy()
     rho = dt.type(np.dot(r, z))
 
+    # r, z, d are updated in place; x is a new array each iteration, so that
+    # best_x can hold on to an earlier iterate without a copy
+    step = np.empty_like(d)
     best_x = x.copy()
     it = 0
     while it < maxit:
@@ -104,10 +116,10 @@ def pcg(A, b, p, tol=None, maxit=None, x0=None):
             report = SolveReport(it, float(best_res), time.perf_counter() - t0, p, tol, n)
             raise PCGError(f"breakdown: d.Ad = {dq} at iteration {it}", best_x, report)
         alpha = dt.type(rho / dq)
-        x = round_to(x + alpha * d, p)
-        r = round_to(r - alpha * q, p)
+        x = x + np.multiply(alpha, d, out=step)
+        r -= np.multiply(alpha, q, out=step)
         it += 1
-        relres = float(np.linalg.norm(r.astype(np.float64, copy=False)) / bnorm)
+        relres = relative_residual(r)
         if not np.isfinite(relres):
             report = SolveReport(it, float(best_res), time.perf_counter() - t0, p, tol, n)
             raise PCGError(f"non-finite residual at iteration {it}", best_x, report)
@@ -117,11 +129,12 @@ def pcg(A, b, p, tol=None, maxit=None, x0=None):
         if relres <= tol:
             report = SolveReport(it, relres, time.perf_counter() - t0, p, tol, n)
             return x, report
-        z = round_to(dinv * r, p)
+        np.multiply(dinv, r, out=z)
         rho_new = dt.type(np.dot(r, z))
         beta = dt.type(rho_new / rho)
         rho = rho_new
-        d = round_to(z + beta * d, p)
+        d *= beta
+        d += z
 
     report = SolveReport(it, float(best_res), time.perf_counter() - t0, p, tol, n)
     raise PCGError(

@@ -67,20 +67,34 @@ def _f1_sin(x, y):
 
 
 # --- e2 (and e4): u = 50 (1-x^2)(1-y^2) exp(1 - y^-4) -----------------------
+#
+# Negative powers of y are products of s = 1/(y*y), never `**`: numpy's pow
+# is an order of magnitude slower on negative bases, and the products make
+# every field exactly even or odd in y, as the formulas are.
+
+def _inv_square(y, out=None):
+    s = np.multiply(y, y, out=out)
+    return np.reciprocal(s, out=s)
+
 
 def _exp_factor(y):
     y = np.asarray(y, dtype=np.float64)
     out = np.zeros_like(y)
     mask = np.abs(y) >= _Y_CUTOFF
-    ym = y[mask]
-    out[mask] = np.exp(1.0 - ym**-4)
+    t = y[mask]
+    _inv_square(t, out=t)
+    np.multiply(t, t, out=t)
+    np.subtract(1.0, t, out=t)
+    out[mask] = np.exp(t, out=t)
     return out
 
 
 def _u2_steep(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return 50.0 * (1 - x**2) * (1 - y**2) * _exp_factor(y)
+    u = 50.0 * (1 - x**2) * (1 - y**2)
+    u *= _exp_factor(y)
+    return u
 
 
 def _grad_u2_steep(x, y):
@@ -93,7 +107,10 @@ def _grad_u2_steep(x, y):
     ym = np.broadcast_to(y, gy.shape)[mask]
     xm = np.broadcast_to(x, gy.shape)[mask]
     Em = np.broadcast_to(E, gy.shape)[mask]
-    gy[mask] = 50.0 * (1 - xm**2) * Em * (-2 * ym + 4 * (1 - ym**2) * ym**-5)
+    s = _inv_square(ym)
+    y5 = s * s
+    y5 /= ym
+    gy[mask] = 50.0 * (1 - xm**2) * Em * (-2 * ym + 4 * (1 - ym**2) * y5)
     return gx, gy
 
 
@@ -104,9 +121,15 @@ def _f2_steep(x, y):
     mask = np.abs(y) >= _Y_CUTOFF
     ym = np.broadcast_to(y, out.shape)[mask]
     xm = np.broadcast_to(x, out.shape)[mask]
-    E = np.exp(1.0 - ym**-4)
-    uyy_over = 16 * (1 - ym**2) * ym**-10 - 20 * (1 - ym**2) * ym**-6 - 16 * ym**-4 - 2
-    out[mask] = 100.0 * (1 - ym**2) * E - 50.0 * (1 - xm**2) * E * uyy_over
+    s = _inv_square(ym)
+    y4 = s * s
+    y6 = y4 * s
+    y10 = y4 * y4
+    y10 *= s
+    w = 1 - ym**2
+    E = np.exp(1.0 - y4)
+    uyy_over = 16 * w * y10 - 20 * w * y6 - 16 * y4 - 2
+    out[mask] = 100.0 * w * E - 50.0 * (1 - xm**2) * E * uyy_over
     return out
 
 

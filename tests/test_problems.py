@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpdwr.driver import initial_mesh
-from mpdwr.fespace import build_space, interpolate, zero_solution
+from mpdwr.fespace import EVALUATION_DEGREE, build_space, interpolate, quad_points_physical, quadrature, zero_solution
 from mpdwr.mesh import global_refine, unit_square_template
 from mpdwr.problems import (
     Functional,
@@ -12,6 +13,7 @@ from mpdwr.problems import (
     get_functional,
     get_problem,
 )
+from mpdwr.problems import _Y_CUTOFF
 
 # frozen from the 2000x2000 tensor-midpoint oracle (closed form
 # -203/900 + 1681 sqrt(10) atan(2 sqrt(10)) / 6000 = 1.0271815081003)
@@ -194,3 +196,80 @@ def test_functional_error_interpolant_decays_quadratically():
         m = global_refine(m)
     rate = -2 * np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert rate >= 1.8
+
+
+# --- e2/e4 fields: frozen `**` formulas, mirror symmetry ---------------------
+
+def ref_exp_factor(y):
+    out = np.zeros_like(y)
+    mask = np.abs(y) >= _Y_CUTOFF
+    out[mask] = np.exp(1.0 - y[mask] ** -4)
+    return out
+
+
+def ref_u2(x, y):
+    return 50.0 * (1 - x**2) * (1 - y**2) * ref_exp_factor(y)
+
+
+def ref_grad_u2(x, y):
+    E = ref_exp_factor(y)
+    gx = -100.0 * x * (1 - y**2) * E
+    gy = np.zeros_like(E)
+    m = np.abs(y) >= _Y_CUTOFF
+    ym, xm = y[m], x[m]
+    gy[m] = 50.0 * (1 - xm**2) * E[m] * (-2 * ym + 4 * (1 - ym**2) * ym**-5)
+    return gx, gy
+
+
+def ref_f2(x, y):
+    out = np.zeros_like(y)
+    m = np.abs(y) >= _Y_CUTOFF
+    ym, xm = y[m], x[m]
+    E = np.exp(1.0 - ym**-4)
+    uyy_over = 16 * (1 - ym**2) * ym**-10 - 20 * (1 - ym**2) * ym**-6 - 16 * ym**-4 - 2
+    out[m] = 100.0 * (1 - ym**2) * E - 50.0 * (1 - xm**2) * E * uyy_over
+    return out
+
+
+def e2_fields(x, y):
+    prob = get_problem("e2")
+    return (prob.u_exact(x, y), *prob.grad_u_exact(x, y), prob.f(x, y))
+
+
+@pytest.fixture(scope="module")
+def degree8_points():
+    pts, _ = quad_points_physical(initial_mesh(5), quadrature(EVALUATION_DEGREE))
+    return np.ascontiguousarray(pts[..., 0]).ravel(), np.ascontiguousarray(pts[..., 1]).ravel()
+
+
+def assert_mirror_exact(x, y):
+    """u, f even in x and y; gx odd in x, even in y; gy even in x, odd in y."""
+    u, gx, gy, f = e2_fields(x, y)
+    for xs, ys, sx, sy in ((-x, y, -1, 1), (x, -y, 1, -1)):
+        um, gxm, gym, fm = e2_fields(xs, ys)
+        assert np.array_equal(um, u) and np.array_equal(fm, f)
+        assert np.array_equal(gxm, sx * gx) and np.array_equal(gym, sy * gy)
+
+
+def test_e2_fields_mirror_exact_on_degree8_points(degree8_points):
+    assert_mirror_exact(*degree8_points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=40))
+def test_e2_fields_mirror_exact_random(points):
+    x, y = np.array(points).T
+    assert_mirror_exact(x, y)
+
+
+@pytest.mark.parametrize("where", ["degree8", "no_nan_values"])
+def test_e2_fields_match_pow_formulas(where, degree8_points):
+    if where == "degree8":
+        x, y = degree8_points
+    else:
+        y = np.array([0.0, 1e-300, 1e-16, 0.01, 0.18, 0.19, 0.2, 0.5, 1.0])
+        x = np.full_like(y, 0.3)
+    want = (ref_u2(x, y), *ref_grad_u2(x, y), ref_f2(x, y))
+    for got, ref in zip(e2_fields(x, y), want):
+        assert np.array_equal(got == 0, ref == 0)
+        assert np.abs(got - ref).max() <= 8 * np.finfo(np.float64).eps * np.abs(ref).max()
