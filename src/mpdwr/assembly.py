@@ -63,10 +63,10 @@ def _contract(x, y):
     return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
 
 
-def assemble_stiffness(space: FESpace, exactness: int = ASSEMBLY_DEGREE):
+def assemble_stiffness(space: FESpace):
     """A_ij = sum_K int_K grad(phi_j) . grad(phi_i), at space precision."""
     p = space.precision
-    rule = quadrature(exactness)
+    rule = quadrature(ASSEMBLY_DEGREE)
     _, _, det, invJT = _element_geometry(space)
     gref = round_to(basis_gradients(space.degree, rule.points), p)
     w = round_to(rule.weights, p)
@@ -106,15 +106,13 @@ def assemble_load(space: FESpace, f, exactness: int = ASSEMBLY_DEGREE):
     return round_to(F, p)
 
 
-def assemble_functional(space: FESpace, functional, exactness: int = EVALUATION_DEGREE):
-    """J_i = |Omega_J|^-1 int_{Omega_J} phi_i: the load of the region's
-    characteristic function (points outside contribute zero), scaled by
-    the inverse area at space precision."""
-    if functional.area <= 0:
-        raise ValueError(f"functional {functional.name} has zero-area region")
+def assemble_functional(space: FESpace, functional):
+    """J_i = |Omega_J|^-1 int_{Omega_J} phi_i: the degree-8 load of the
+    region's characteristic function (points outside contribute zero),
+    scaled by the inverse area at space precision."""
     p = space.precision
     inv_area = round_to(1.0 / functional.area, p)
-    return round_to(inv_area * assemble_load(space, functional.contains, exactness), p)
+    return round_to(inv_area * assemble_load(space, functional.contains, EVALUATION_DEGREE), p)
 
 
 def apply_dirichlet(A, rhs, bdofs):

@@ -27,6 +27,11 @@ from .linsolve import PCGError, pcg
 from .problems import Functional, Problem, _goal_and_l2_errors
 from .scalar import DOUBLE, HALF, SINGLE, Precision, precision
 
+# smallest element area before single-precision geometry arithmetic starts
+# to pollute the solution: the default of AdaptConfig.min_volume_guard and
+# the volume flag of limit_monitor
+MIN_VOLUME_GUARD = 1e-6
+
 
 @dataclass
 class AdaptConfig:
@@ -36,7 +41,7 @@ class AdaptConfig:
     max_iter: int = 20
     marking_theta: float = 0.5
     je_mode: str = "exact"          # "exact" uses u_exact; "estimated" uses the dual
-    min_volume_guard: float = 1e-6
+    min_volume_guard: float = MIN_VOLUME_GUARD
     initial_refines: int = 2
     indicator: str = "dwr"          # "dwr" | "residual"
     dual_method: str = "mpdwr"      # "mpdwr" | "approach1" | "approach2"
@@ -140,13 +145,14 @@ def _solve(mesh, degree, p, rhs, tol=None, maxit=None, x0=None):
     return Solution(space, x), report
 
 
-def solve_primal(mesh, problem: Problem, p, degree=1, tol=None, maxit=None, x0=None):
-    """Assemble, eliminate boundary conditions and PCG-solve the primal.
+def solve_primal(mesh, problem: Problem, p, tol=None, maxit=None, x0=None):
+    """Assemble, eliminate boundary conditions and PCG-solve the degree-1
+    primal.
 
     Returns (solution, report); x0 is an optional PCG start vector (see
     linsolve.pcg).
     """
-    return _solve(mesh, degree, p, lambda space: assemble_load(space, problem.f), tol, maxit, x0)
+    return _solve(mesh, 1, p, lambda space: assemble_load(space, problem.f), tol, maxit, x0)
 
 
 def _dual(mesh, functional, p, method="mpdwr", tol=None, maxit=None):
@@ -260,7 +266,7 @@ def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
             p_primal, p_dual = pairs[stage]
             last_pair = stage == len(pairs) - 1
             t0 = time.perf_counter()
-            u, prep = solve_primal(mesh, problem, p_primal, 1, cfg.solver_tol, cfg.solver_maxit)
+            u, prep = solve_primal(mesh, problem, p_primal, cfg.solver_tol, cfg.solver_maxit)
             t_primal = time.perf_counter() - t0
 
             w, t_dual, dual_iterations = None, 0.0, 0
@@ -380,13 +386,18 @@ def revised_mpdwr(problem, functional, cfg: AdaptConfig, mesh=None):
     return _adapt_loop(problem, functional, cfg, mesh)
 
 
-def limit_monitor(history: AdaptHistory, guard: float = 1e-6) -> Diagnosis:
+def _l2_stalled(records) -> bool:
+    """The L2 error fell by less than 2 percent in total over the last three
+    records (a converging run drops by tens of percent per step)."""
+    return records[-1].l2 > 0.98 * records[-3].l2
+
+
+def limit_monitor(history: AdaptHistory) -> Diagnosis:
     """Diagnose precision breakdown from an adaptation history.
 
-    Flags (a) any recorded minimum element volume below the guard and
-    (b) stagnation of the single-precision primal over the last three
-    records: either the L2 error decreased by less than 2 percent in total
-    (a converging run drops by tens of percent per step) or the true
+    Flags (a) any recorded minimum element volume below MIN_VOLUME_GUARD
+    and (b) stagnation of the single-precision primal over the last three
+    records: either the L2 error stalled (_l2_stalled) or the true
     algebraic residual ||F - A x|| did not decrease at all; the residual
     floors at the precision's rounding level and then grows with problem
     size, which is the breakdown signature.
@@ -396,15 +407,15 @@ def limit_monitor(history: AdaptHistory, guard: float = 1e-6) -> Diagnosis:
         raise ValueError("limit_monitor needs at least 3 recorded iterations")
     notes = []
     min_vol = min(r.min_volume for r in records)
-    volume_flag = min_vol < guard
+    volume_flag = min_vol < MIN_VOLUME_GUARD
     if volume_flag:
-        notes.append(f"min element volume {min_vol:.3e} below {guard:.1e}")
+        notes.append(f"min element volume {min_vol:.3e} below {MIN_VOLUME_GUARD:.1e}")
 
     stagnation_flag = False
     last = records[-3:]
     if last[-1].primal_precision == "single":
         e0, e2 = last[0].l2, last[2].l2
-        if e2 > 0.98 * e0:
+        if _l2_stalled(last):
             stagnation_flag = True
             notes.append(
                 f"single-precision primal error stagnant over last 3 iterations "
@@ -421,25 +432,23 @@ def limit_monitor(history: AdaptHistory, guard: float = 1e-6) -> Diagnosis:
 
 
 def precision_cascade(problem, functional, cfg: AdaptConfig, mesh=None, force_switch_at=None):
-    """Half/single run that switches to single/double when the monitor trips.
+    """Half/single run that switches to single/double when the half stage
+    stalls.
 
-    Starts at (half, single); once limit_monitor flags the volume guard, the
-    half primal's error stalls over the last three records, the guard
-    trips (or at the forced iteration, for testing), the remaining
-    iterations run at (single, double).  The switch point is recorded in
-    the history.
+    Starts at (half, single) and runs the iterations after the volume guard
+    trips, or after the half primal's L2 error stalls over the last three
+    records (_l2_stalled), at (single, double); force_switch_at forces the
+    switch after that iteration, for testing.  The switch point is recorded
+    in the history.
     """
 
     def switch(history, k):
+        # the loop switches on the volume guard itself; limit_monitor's
+        # stagnation rule watches a single primal, the stage-0 primal is
+        # half, so the stall is read off the error trail directly
         if force_switch_at is not None and k >= force_switch_at:
             return True
-        if len(history.records) < 3:
-            return False
-        # at stage 0 the primal is half, not single; apply the same
-        # stagnation rule to the recorded error trail directly
-        last = history.records[-3:]
-        half_stalled = last[-1].l2 > 0.98 * last[0].l2
-        return limit_monitor(history, cfg.min_volume_guard).volume_flag or half_stalled
+        return len(history.records) >= 3 and _l2_stalled(history.records)
 
     pairs = [(HALF, SINGLE), (SINGLE, DOUBLE)]
     return _adapt_loop(problem, functional, cfg, mesh, pairs, switch)

@@ -279,7 +279,10 @@ def quad_points_physical(m: meshmod.Mesh, rule: QuadratureRule):
     """Physical quadrature points (ne, nq, 2) and weights*detJ (ne, nq).
 
     Point q of element e is a + (J[:, 0] r0 + J[:, 1] r1) for the reference
-    coordinates (r0, r1), one physical coordinate at a time.
+    coordinates (r0, r1), one physical coordinate at a time.  The map and
+    det are formed here from vertex columns, not by element_transforms:
+    that route gives the same bytes but took about twice the time and
+    56 MB more peak memory on a million elements (see README).
     """
     ref = rule.points[:, 1:]  # (nq, 2) reference coordinates
     ne, nq = m.n_elements, ref.shape[0]

@@ -152,7 +152,7 @@ def min_angle(mesh: Mesh) -> float:
     return float(np.min(angles))
 
 
-def check_conforming(mesh: Mesh, rel_tol=1e-12):
+def check_conforming(mesh: Mesh):
     """Verify triangulation conditions: orientation, cover, conformity.
 
     Conformity is tested by edge-incidence counting: every interior edge is
@@ -164,7 +164,7 @@ def check_conforming(mesh: Mesh, rel_tol=1e-12):
     assert np.all(sa > 0), "element with non-positive signed area"
 
     total = float(np.abs(sa).sum())
-    assert abs(total - mesh.domain_area) <= rel_tol * mesh.domain_area, (
+    assert abs(total - mesh.domain_area) <= 1e-12 * mesh.domain_area, (
         f"area sum {total} != domain area {mesh.domain_area}"
     )
 
@@ -233,141 +233,21 @@ def unit_square_template() -> Mesh:
     )
 
 
-def global_refine(mesh: Mesh) -> Mesh:
-    """Regular (red) refinement: each triangle splits into 4 via midpoints.
+def _split_edges(mesh: Mesh, et: EdgeTable, cut):
+    """Insert the midpoint of every cut edge: the one place refinement
+    creates vertices.
 
-    Vertex numbering keeps the parent vertices first and appends one
-    midpoint per parent edge, so coarse-mesh nodal values embed as the
-    leading block of the refined numbering.
+    Midpoints are numbered after the old vertices in edge order, so the old
+    vertices stay the leading block; each cut boundary edge is replaced by
+    its two halves.  Returns (vertices, new_vertex, boundary_edges) with
+    new_vertex[e] the midpoint of edge e (-1 if e is not cut).
     """
-    et = edge_table(mesh)
-    nv = mesh.n_vertices
-    mids = 0.5 * (mesh.vertices[et.edges[:, 0]] + mesh.vertices[et.edges[:, 1]])
-    vertices = np.vstack([mesh.vertices, mids])
-
-    a, b, c = mesh.elements[:, 0], mesh.elements[:, 1], mesh.elements[:, 2]
-    mab = nv + et.elem_to_edge[:, 0]
-    mbc = nv + et.elem_to_edge[:, 1]
-    mca = nv + et.elem_to_edge[:, 2]
-    # corner children keep the parent's hypotenuse halves as refinement
-    # edges; the center child's refinement edge is (mbc, mca)
-    children = np.concatenate(
-        [
-            np.stack([a, mab, mca], axis=1),
-            np.stack([mab, b, mbc], axis=1),
-            np.stack([mca, mbc, c], axis=1),
-            np.stack([mbc, mca, mab], axis=1),
-        ]
-    )
-    generation = np.tile(mesh.generation + 1, 4)
-
-    bids = nv + edge_ids_of(et, mesh.boundary_edges)
-    i, j = mesh.boundary_edges[:, 0], mesh.boundary_edges[:, 1]
-    bedges = np.concatenate(
-        [np.stack([i, bids], axis=1), np.stack([bids, j], axis=1)]
-    )
-    return Mesh(
-        vertices=vertices,
-        elements=children,
-        boundary_edges=bedges,
-        generation=generation,
-        domain_area=mesh.domain_area,
-    )
-
-
-def bisect_marked(mesh: Mesh, marked, generations: int = 1) -> Mesh:
-    """Newest-vertex bisection of the marked elements plus conformity closure.
-
-    Marked refinement edges form the initial cut set; the closure repeatedly
-    adds the refinement edge of any element touching a cut edge (bisection
-    can only start there), so the cut set agrees across neighbors and the
-    result has no hanging nodes.  Each element is bisected at most twice
-    per pass (once at the refinement edge, then children at cut parent
-    edges).  With generations > 1 the descendants of the marked set are
-    re-bisected that many times, so a marked element's volume shrinks by
-    at least 2^-generations; deep-refinement studies use this to reproduce
-    minimal volumes that drop several orders of magnitude per round.
-    """
-    marked = np.unique(np.asarray(marked, dtype=np.int64))
-    if marked.size == 0:
-        return mesh
-    if marked.min() < 0 or marked.max() >= mesh.n_elements:
-        raise IndexError("marked element index out of range")
-    out, parents = _bisect_once(mesh, marked)
-    for _ in range(generations - 1):
-        in_lineage = np.zeros(mesh.n_elements, dtype=bool)
-        in_lineage[marked] = True
-        marked = np.nonzero(in_lineage[parents])[0]
-        mesh = out
-        out, parents = _bisect_once(mesh, marked)
-    return out
-
-
-def _bisect_once(mesh: Mesh, marked):
-    """One bisection pass; returns (new mesh, parent element per new element)."""
-
-    et = edge_table(mesh)
-    cut = np.zeros(et.n_edges, dtype=bool)
-    cut[et.elem_to_edge[marked, 0]] = True
-    while True:
-        has_cut = cut[et.elem_to_edge].any(axis=1)
-        need = et.elem_to_edge[has_cut, 0]
-        grown = np.count_nonzero(cut)
-        cut[need] = True
-        if np.count_nonzero(cut) == grown:
-            break
-
     cut_ids = np.nonzero(cut)[0]
     nv = mesh.n_vertices
     new_vertex = np.full(et.n_edges, -1, dtype=np.int64)
     new_vertex[cut_ids] = nv + np.arange(cut_ids.size)
     mids = 0.5 * (mesh.vertices[et.edges[cut_ids, 0]] + mesh.vertices[et.edges[cut_ids, 1]])
     vertices = np.vstack([mesh.vertices, mids])
-
-    elems_out = []
-    gens_out = []
-    parents_out = []
-    all_ids = np.arange(mesh.n_elements, dtype=np.int64)
-    a, b, c = mesh.elements[:, 0], mesh.elements[:, 1], mesh.elements[:, 2]
-    c0 = cut[et.elem_to_edge[:, 0]]
-    c1 = cut[et.elem_to_edge[:, 1]]
-    c2 = cut[et.elem_to_edge[:, 2]]
-    gen = mesh.generation
-
-    keep = ~c0
-    elems_out.append(mesh.elements[keep])
-    gens_out.append(gen[keep])
-    parents_out.append(all_ids[keep])
-
-    m0 = new_vertex[et.elem_to_edge[:, 0]]
-    m1 = new_vertex[et.elem_to_edge[:, 1]]
-    m2 = new_vertex[et.elem_to_edge[:, 2]]
-
-    # child over (c, a): refinement edge (c, a), peak m0
-    sel = c0 & ~c2
-    elems_out.append(np.stack([c[sel], a[sel], m0[sel]], axis=1))
-    gens_out.append(gen[sel] + 1)
-    parents_out.append(all_ids[sel])
-    sel = c0 & c2  # grandchildren, split child at midpoint of (c, a)
-    elems_out.append(np.stack([m0[sel], c[sel], m2[sel]], axis=1))
-    gens_out.append(gen[sel] + 2)
-    parents_out.append(all_ids[sel])
-    elems_out.append(np.stack([a[sel], m0[sel], m2[sel]], axis=1))
-    gens_out.append(gen[sel] + 2)
-    parents_out.append(all_ids[sel])
-
-    # child over (b, c): refinement edge (b, c), peak m0
-    sel = c0 & ~c1
-    elems_out.append(np.stack([b[sel], c[sel], m0[sel]], axis=1))
-    gens_out.append(gen[sel] + 1)
-    parents_out.append(all_ids[sel])
-    sel = c0 & c1
-    elems_out.append(np.stack([m0[sel], b[sel], m1[sel]], axis=1))
-    gens_out.append(gen[sel] + 2)
-    parents_out.append(all_ids[sel])
-    elems_out.append(np.stack([c[sel], m0[sel], m1[sel]], axis=1))
-    gens_out.append(gen[sel] + 2)
-    parents_out.append(all_ids[sel])
 
     beids = edge_ids_of(et, mesh.boundary_edges)
     bcut = cut[beids]
@@ -380,15 +260,113 @@ def _bisect_once(mesh: Mesh, marked):
             np.stack([mids_b, j[bcut]], axis=1),
         ]
     )
+    return vertices, new_vertex, bedges
 
-    out = Mesh(
+
+def global_refine(mesh: Mesh) -> Mesh:
+    """Regular (red) refinement: each triangle splits into 4 via midpoints.
+
+    Every edge is cut, so each parent edge gets one midpoint and
+    coarse-mesh nodal values embed as the leading block of the refined
+    numbering.
+    """
+    et = edge_table(mesh)
+    vertices, new_vertex, bedges = _split_edges(mesh, et, np.ones(et.n_edges, dtype=bool))
+
+    a, b, c = mesh.elements[:, 0], mesh.elements[:, 1], mesh.elements[:, 2]
+    mab = new_vertex[et.elem_to_edge[:, 0]]
+    mbc = new_vertex[et.elem_to_edge[:, 1]]
+    mca = new_vertex[et.elem_to_edge[:, 2]]
+    # corner children keep the parent's hypotenuse halves as refinement
+    # edges; the center child's refinement edge is (mbc, mca)
+    children = np.concatenate(
+        [
+            np.stack([a, mab, mca], axis=1),
+            np.stack([mab, b, mbc], axis=1),
+            np.stack([mca, mbc, c], axis=1),
+            np.stack([mbc, mca, mab], axis=1),
+        ]
+    )
+    return Mesh(
+        vertices=vertices,
+        elements=children,
+        boundary_edges=bedges,
+        generation=np.tile(mesh.generation + 1, 4),
+        domain_area=mesh.domain_area,
+    )
+
+
+def bisect_marked(mesh: Mesh, marked) -> Mesh:
+    """Newest-vertex bisection of the marked elements plus conformity closure.
+
+    Marked refinement edges form the initial cut set; the closure repeatedly
+    adds the refinement edge of any element touching a cut edge (bisection
+    can only start there), so the cut set agrees across neighbors and the
+    result has no hanging nodes.  Each element is bisected at most twice
+    (once at the refinement edge, then its children at cut parent edges),
+    so a marked element's area at least halves.
+    """
+    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    if marked.size == 0:
+        return mesh
+    if marked.min() < 0 or marked.max() >= mesh.n_elements:
+        raise IndexError("marked element index out of range")
+
+    et = edge_table(mesh)
+    cut = np.zeros(et.n_edges, dtype=bool)
+    cut[et.elem_to_edge[marked, 0]] = True
+    while True:
+        has_cut = cut[et.elem_to_edge].any(axis=1)
+        need = et.elem_to_edge[has_cut, 0]
+        grown = np.count_nonzero(cut)
+        cut[need] = True
+        if np.count_nonzero(cut) == grown:
+            break
+    vertices, new_vertex, bedges = _split_edges(mesh, et, cut)
+
+    elems_out = []
+    gens_out = []
+    a, b, c = mesh.elements[:, 0], mesh.elements[:, 1], mesh.elements[:, 2]
+    c0 = cut[et.elem_to_edge[:, 0]]
+    c1 = cut[et.elem_to_edge[:, 1]]
+    c2 = cut[et.elem_to_edge[:, 2]]
+    gen = mesh.generation
+
+    keep = ~c0
+    elems_out.append(mesh.elements[keep])
+    gens_out.append(gen[keep])
+
+    m0 = new_vertex[et.elem_to_edge[:, 0]]
+    m1 = new_vertex[et.elem_to_edge[:, 1]]
+    m2 = new_vertex[et.elem_to_edge[:, 2]]
+
+    # child over (c, a): refinement edge (c, a), peak m0
+    sel = c0 & ~c2
+    elems_out.append(np.stack([c[sel], a[sel], m0[sel]], axis=1))
+    gens_out.append(gen[sel] + 1)
+    sel = c0 & c2  # grandchildren, split child at midpoint of (c, a)
+    elems_out.append(np.stack([m0[sel], c[sel], m2[sel]], axis=1))
+    gens_out.append(gen[sel] + 2)
+    elems_out.append(np.stack([a[sel], m0[sel], m2[sel]], axis=1))
+    gens_out.append(gen[sel] + 2)
+
+    # child over (b, c): refinement edge (b, c), peak m0
+    sel = c0 & ~c1
+    elems_out.append(np.stack([b[sel], c[sel], m0[sel]], axis=1))
+    gens_out.append(gen[sel] + 1)
+    sel = c0 & c1
+    elems_out.append(np.stack([m0[sel], b[sel], m1[sel]], axis=1))
+    gens_out.append(gen[sel] + 2)
+    elems_out.append(np.stack([c[sel], m0[sel], m1[sel]], axis=1))
+    gens_out.append(gen[sel] + 2)
+
+    return Mesh(
         vertices=vertices,
         elements=np.concatenate(elems_out),
         boundary_edges=bedges,
         generation=np.concatenate(gens_out).astype(np.int32),
         domain_area=mesh.domain_area,
     )
-    return out, np.concatenate(parents_out)
 
 
 def save_mesh_text(mesh: Mesh, path):

@@ -34,7 +34,11 @@ class Problem:
 
 @dataclass
 class Functional:
-    """Region average J(u) = |R|^-1 int_R u over an axis-aligned rectangle."""
+    """Region average J(u) = |R|^-1 int_R u over an axis-aligned rectangle.
+
+    A region without positive extent in x and in y (zero area, or inverted
+    bounds) has no average and is rejected here.
+    """
 
     name: str
     region: tuple  # (xmin, xmax, ymin, ymax)
@@ -42,6 +46,8 @@ class Functional:
 
     def __post_init__(self):
         x0, x1, y0, y1 = self.region
+        if not (x1 > x0 and y1 > y0):
+            raise ValueError(f"functional {self.name}: region {self.region} has no positive area")
         self.area = (x1 - x0) * (y1 - y0)
 
     def contains(self, x, y):
@@ -210,8 +216,6 @@ def get_functional(name: str) -> Functional:
 
 def _region_weights(functional: Functional, pts, wdet):
     """Quadrature weights masked to the region."""
-    if functional.area <= 0:
-        raise ValueError(f"functional {functional.name} has zero-area region")
     return wdet * functional.contains(pts[..., 0], pts[..., 1])
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpdwr.mesh import (
     Mesh,
@@ -130,13 +131,6 @@ def test_nvb_angle_bound_random_rounds():
     assert abs(np.degrees(min_angle(m)) - 45.0) < 1e-9
 
 
-def test_deep_bisection_generations():
-    m = unit_square_template()
-    out = bisect_marked(m, [0], generations=5)
-    check_conforming(out)
-    assert min_element_volume(out) <= 0.0625 / 2**5 + 1e-15
-
-
 def test_refinement_monotonicity_and_area():
     m = unit_square_template()
     rng = np.random.default_rng(11)
@@ -186,22 +180,32 @@ def test_mesh_text_export(tmp_path):
     assert (x, y) == (-1.0, -1.0)
 
 
-def test_deep_protocol_minvol_trend():
-    # aggressive multi-generation rounds shrink the minimum volume by
-    # orders of magnitude at modest element counts
-    import numpy as np
+def check_refinement(old, new):
+    """The old vertices are the unchanged leading block, every new vertex is
+    the exact midpoint of a distinct edge of old, and the area is kept."""
+    nv = old.n_vertices
+    assert new.vertices[:nv].tobytes() == old.vertices.tobytes()
+    edges = edge_table(old).edges
+    mids = 0.5 * (old.vertices[edges[:, 0]] + old.vertices[edges[:, 1]])
+    edge_of = {tuple(x): e for e, x in enumerate(mids.tolist())}
+    born = [edge_of.get(tuple(x)) for x in new.vertices[nv:].tolist()]
+    assert None not in born, "new vertex is not the midpoint of an old edge"
+    assert len(set(born)) == len(born), "two new vertices on one edge"
+    assert abs(element_areas(new).sum() - element_areas(old).sum()) <= 1e-12 * old.domain_area
+    check_conforming(new)
+    return born
 
-    from mpdwr.driver import initial_mesh, marking, solve_primal
-    from mpdwr.estimator import residual_indicator
-    from mpdwr.problems import get_problem
 
-    prob = get_problem("e2")
-    m = initial_mesh(2)
-    v0 = min_element_volume(m)
-    for _ in range(7):
-        u, _ = solve_primal(m, prob, "double", tol=1e-5)
-        ind = residual_indicator(u, prob.f)
-        m = bisect_marked(m, marking(ind, 0.3), generations=4)
-    check_conforming(m)
-    assert min_element_volume(m) <= 2e-5
-    assert v0 / min_element_volume(m) >= 10**2.3
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(0.02, 0.6), st.booleans())
+def test_refinement_properties(seed, rounds, fraction, from_template):
+    rng = np.random.default_rng(seed)
+    m = unit_square_template() if from_template else two_triangle_square(diagonal_tags=False)
+    for _ in range(rounds):
+        size = max(1, int(fraction * m.n_elements))
+        out = bisect_marked(m, rng.choice(m.n_elements, size=size, replace=False))
+        assert out.n_vertices > m.n_vertices
+        check_refinement(m, out)
+        m = out
+    red = global_refine(m)
+    assert len(check_refinement(m, red)) == edge_table(m).n_edges

@@ -161,6 +161,21 @@ def test_functional_zero_area_rejected():
         eval_functional(Functional("bad", (0.2, 0.2, 0.0, 1.0)), lambda x, y: x, mesh)
 
 
+@pytest.mark.parametrize(
+    "region",
+    [
+        (0.2, 0.2, 0.0, 1.0),  # zero width
+        (0.0, 1.0, 0.5, 0.5),  # zero height
+        (1.0, 0.0, 0.0, 1.0),  # inverted x: negative area
+        (0.0, 1.0, 1.0, 0.0),  # inverted y: negative area
+        (1.0, 0.0, 1.0, 0.0),  # both inverted: positive product, empty region
+    ],
+)
+def test_functional_rejects_empty_region_on_creation(region):
+    with pytest.raises(ValueError):
+        Functional("bad", region)
+
+
 def test_functional_error_zero_solution():
     prob = get_problem("e3")
     J = get_functional("j1")
