@@ -14,6 +14,7 @@ mesh, higher polynomial degree) are provided for cost comparisons.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ from . import mesh as meshmod
 from .assembly import apply_dirichlet, assemble_functional, assemble_load, assemble_stiffness
 from .estimator import IndicatorField, dwr_indicator, estimate_Je, residual_indicator
 from .fespace import Solution, build_space, l2_error
-from .linsolve import PCGError, pcg
+from .linsolve import PCGError, default_tol, pcg
 from .problems import Functional, Problem, _goal_and_l2_errors
 from .scalar import DOUBLE, HALF, SINGLE, Precision, precision
 
@@ -81,7 +82,10 @@ class IterationRecord:
     primal_precision: str
     dual_precision: str
     t_eval: float = 0.0  # J(e), L2 error and minimum element volume
-    dual_iterations: int = 0  # PCG iterations of the iteration's dual (0: none solved)
+    # PCG iterations of the iteration's dual: 0 when none was solved
+    # (t_dual == 0) or when its prolonged start already met the tolerance
+    dual_iterations: int = 0
+    primal_iterations: int = 0  # PCG iterations of the iteration's primal
 
 
 @dataclass
@@ -96,7 +100,7 @@ class AdaptHistory:
     CSV_COLUMNS = (
         "iter,ndofs,nelems,je,eta_total,min_vol,"
         "t_primal,t_dual,t_indicator,t_refine,primal_prec,dual_prec,"
-        "l2,primal_residual,t_eval,dual_iters"
+        "l2,primal_residual,t_eval,dual_iters,primal_iters"
     )
 
     def csv_rows(self):
@@ -108,7 +112,8 @@ class AdaptHistory:
                 f"{r.min_volume:.9e},{r.t_primal:.6e},{r.t_dual:.6e},"
                 f"{r.t_indicator:.6e},{r.t_refine:.6e},"
                 f"{r.primal_precision},{r.dual_precision},"
-                f"{r.l2:.9e},{r.primal_residual:.9e},{r.t_eval:.6e},{r.dual_iterations}"
+                f"{r.l2:.9e},{r.primal_residual:.9e},{r.t_eval:.6e},{r.dual_iterations},"
+                f"{r.primal_iterations}"
             )
         return rows
 
@@ -155,18 +160,25 @@ def solve_primal(mesh, problem: Problem, p, tol=None, maxit=None, x0=None):
     return _solve(mesh, 1, p, lambda space: assemble_load(space, problem.f), tol, maxit, x0)
 
 
-def _dual(mesh, functional, p, method="mpdwr", tol=None, maxit=None):
+def _dual(mesh, functional, p, method="mpdwr", tol=None, maxit=None, x0=None):
     """Dual solve by method: "mpdwr" on the same mesh and degree,
     "approach1" on the globally refined mesh, "approach2" at degree 2.
 
     Returns (solved dual, its restriction to the degree-1 space of mesh,
     report).  The restriction takes the values at the mesh vertices, which
     global refinement and the degree-2 numbering both keep as the leading
-    block; for the refined mesh it is exact.
+    block; for the refined mesh it is exact.  x0, a start vector in the
+    degree-1 space of mesh, is lifted to the solve space by the same
+    midpoint rule: the refined mesh's new vertices and the degree-2 edge
+    DoFs both follow edge_table's edge order.
     """
     solve_mesh = meshmod.global_refine(mesh) if method == "approach1" else mesh
     degree = 2 if method == "approach2" else 1
-    w, report = _solve(solve_mesh, degree, p, lambda space: assemble_functional(space, functional), tol, maxit)
+    if x0 is not None and method != "mpdwr":
+        x0 = meshmod.prolong(x0, meshmod.edge_table(mesh).edges)
+    w, report = _solve(
+        solve_mesh, degree, p, lambda space: assemble_functional(space, functional), tol, maxit, x0
+    )
     if method == "mpdwr":
         return w, w, report
     restricted = Solution(build_space(mesh, 1, p), w.coefficients[: mesh.n_vertices].copy())
@@ -237,13 +249,32 @@ def post_process(mesh, problem: Problem, tol=None, maxit=None, u0=None):
     return u, time.perf_counter() - t0, report.iterations
 
 
-def _solve_dual(mesh, functional, cfg, p_dual):
+def _solve_dual(mesh, functional, cfg, p_dual, tol, x0):
     """Dual weight per the configured method, with its seconds and PCG
     iterations; classical approaches feed the indicator through their
-    restriction to the primal space."""
+    restriction to the primal space, and x0 is a degree-1 start vector on
+    mesh (None: start from zero)."""
     t0 = time.perf_counter()
-    _, w, report = _dual(mesh, functional, p_dual, cfg.dual_method, cfg.solver_tol, cfg.solver_maxit)
+    _, w, report = _dual(mesh, functional, p_dual, cfg.dual_method, tol, cfg.solver_maxit, x0)
     return w, time.perf_counter() - t0, report.iterations
+
+
+def _dual_tol(cfg, p_primal, p_dual):
+    """Stopping tolerance of the in-loop dual.
+
+    Each solve's own tolerance is cfg.solver_tol or its precision's
+    default_tol.  An estimated-mode dual feeds estimate_Je and gets its
+    own; in exact mode the dual only weights the marking, through
+    ||grad w||_K, and stops at max(sqrt(tol_primal), tol_dual), never
+    tighter than its own tolerance.
+    """
+
+    def own(p):
+        return cfg.solver_tol if cfg.solver_tol is not None else default_tol(p)
+
+    if cfg.je_mode == "estimated":
+        return own(p_dual)
+    return max(math.sqrt(own(p_primal)), own(p_dual))
 
 
 def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
@@ -253,14 +284,17 @@ def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
     (default: cfg's pair).  Before the last pair, a run moves on to the next
     pair when switch(history, k) is true or the volume guard trips; the
     switch takes effect at iteration k + 1, iteration k's dual stays at the
-    old pair.  A PCG failure is flagged and stops the run; the returned
-    mesh and solution are then those of the last completed primal solve.
+    old pair.  Every dual after the first starts from the previous
+    iteration's dual, prolonged onto the refined mesh through
+    mesh.vertex_parents, and stops at _dual_tol.  A PCG failure is flagged and stops the run; the
+    returned mesh and solution are then those of the last completed primal
+    solve.
     """
     pairs = pairs or [(cfg.primal_precision, cfg.dual_precision)]
     if mesh is None:
         mesh = initial_mesh(cfg.initial_refines)
     history = AdaptHistory()
-    stage, k, u = 0, 0, None
+    stage, k, u, dual_start = 0, 0, None, None
     try:
         while True:
             p_primal, p_dual = pairs[stage]
@@ -270,8 +304,9 @@ def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
             t_primal = time.perf_counter() - t0
 
             w, t_dual, dual_iterations = None, 0.0, 0
+            dual_tol = _dual_tol(cfg, p_primal, p_dual)
             if cfg.je_mode == "estimated":
-                w, t_dual, dual_iterations = _solve_dual(mesh, functional, cfg, p_dual)
+                w, t_dual, dual_iterations = _solve_dual(mesh, functional, cfg, p_dual, dual_tol, dual_start)
 
             t0 = time.perf_counter()
             if cfg.track_je and cfg.je_mode == "exact":
@@ -298,6 +333,7 @@ def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
                 dual_precision=p_dual.name,
                 t_eval=time.perf_counter() - t0,
                 dual_iterations=dual_iterations,
+                primal_iterations=prep.iterations,
             )
             history.records.append(record)
 
@@ -325,7 +361,9 @@ def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
                 )
 
             if cfg.indicator == "dwr" and w is None:
-                w, record.t_dual, record.dual_iterations = _solve_dual(mesh, functional, cfg, p_dual)
+                w, record.t_dual, record.dual_iterations = _solve_dual(
+                    mesh, functional, cfg, p_dual, dual_tol, dual_start
+                )
 
             t0 = time.perf_counter()
             ind = res = residual_indicator(u, problem.f)
@@ -341,6 +379,11 @@ def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
                 break
             t0 = time.perf_counter()
             mesh = meshmod.bisect_marked(mesh, marked)
+            # the next dual starts from this one; only the prolonged vector
+            # is kept, not the old mesh and space
+            dual_start = None
+            if w is not None:
+                dual_start = meshmod.prolong(w.coefficients, mesh.vertex_parents[w.space.n_dofs :])
             record.t_refine = time.perf_counter() - t0
             k += 1
     except PCGError as err:

@@ -27,6 +27,10 @@ class Mesh:
     boundary_edges: np.ndarray  # (nb, 2) int64, Dirichlet
     generation: np.ndarray      # (ne,) int32 refinement depth
     domain_area: float = 4.0
+    # (nv, 2) int64: the endpoints of the edge a vertex was born on as its
+    # midpoint; -1 rows for template vertices and for those inherited from
+    # a mesh without parents.  None: no refinement history recorded.
+    vertex_parents: np.ndarray | None = None
 
     @property
     def n_vertices(self):
@@ -160,28 +164,34 @@ def check_conforming(mesh: Mesh):
     which rules out hanging nodes on meshes produced by refinement.
     Raises AssertionError with a description on the first violation.
     """
+
+    def require(ok, message):
+        # explicit raise, not assert: the check must also run under python -O
+        if not ok:
+            raise AssertionError(message)
+
     sa = signed_areas(mesh)
-    assert np.all(sa > 0), "element with non-positive signed area"
+    require(np.all(sa > 0), "element with non-positive signed area")
 
     total = float(np.abs(sa).sum())
-    assert abs(total - mesh.domain_area) <= 1e-12 * mesh.domain_area, (
-        f"area sum {total} != domain area {mesh.domain_area}"
+    require(
+        abs(total - mesh.domain_area) <= 1e-12 * mesh.domain_area,
+        f"area sum {total} != domain area {mesh.domain_area}",
     )
 
     et = edge_table(mesh)
     counts = (et.edge_to_elem >= 0).sum(axis=1)
-    assert set(np.unique(counts).tolist()) <= {1, 2}, "bad edge incidence"
+    require(set(np.unique(counts).tolist()) <= {1, 2}, "bad edge incidence")
     beids = edge_ids_of(et, mesh.boundary_edges)
-    assert np.unique(beids).shape[0] == mesh.boundary_edges.shape[0], (
-        "duplicate boundary edges"
-    )
-    assert (counts[beids] == 1).all(), "boundary edge shared by two elements"
-    assert int((counts == 1).sum()) == mesh.boundary_edges.shape[0], (
-        "interior-looking edge with one element"
+    require(np.unique(beids).shape[0] == mesh.boundary_edges.shape[0], "duplicate boundary edges")
+    require((counts[beids] == 1).all(), "boundary edge shared by two elements")
+    require(
+        int((counts == 1).sum()) == mesh.boundary_edges.shape[0],
+        "interior-looking edge with one element",
     )
 
     uniq = np.unique(mesh.vertices, axis=0)
-    assert uniq.shape[0] == mesh.n_vertices, "duplicate vertices"
+    require(uniq.shape[0] == mesh.n_vertices, "duplicate vertices")
     return True
 
 
@@ -233,14 +243,30 @@ def unit_square_template() -> Mesh:
     )
 
 
+def prolong(x, parents):
+    """Nodal values x followed by 0.5 * (x[p0] + x[p1]) for each parent
+    row (p0, p1).
+
+    With the parent rows of the vertices a refinement added
+    (``fine.vertex_parents[coarse.n_vertices:]``) this is the exact P1
+    prolongation onto the refined mesh; with ``edge_table(mesh).edges`` it
+    lifts a P1 function to the degree-2 numbering of the same mesh, and to
+    the P1 numbering of ``global_refine(mesh)``.
+    """
+    x = np.asarray(x)
+    return np.concatenate([x, 0.5 * (x[parents[:, 0]] + x[parents[:, 1]])])
+
+
 def _split_edges(mesh: Mesh, et: EdgeTable, cut):
     """Insert the midpoint of every cut edge: the one place refinement
     creates vertices.
 
     Midpoints are numbered after the old vertices in edge order, so the old
     vertices stay the leading block; each cut boundary edge is replaced by
-    its two halves.  Returns (vertices, new_vertex, boundary_edges) with
-    new_vertex[e] the midpoint of edge e (-1 if e is not cut).
+    its two halves.  Returns (vertices, new_vertex, boundary_edges,
+    vertex_parents) with new_vertex[e] the midpoint of edge e (-1 if e is
+    not cut) and the cut edges' endpoints appended to the old vertices'
+    parent rows.
     """
     cut_ids = np.nonzero(cut)[0]
     nv = mesh.n_vertices
@@ -248,6 +274,9 @@ def _split_edges(mesh: Mesh, et: EdgeTable, cut):
     new_vertex[cut_ids] = nv + np.arange(cut_ids.size)
     mids = 0.5 * (mesh.vertices[et.edges[cut_ids, 0]] + mesh.vertices[et.edges[cut_ids, 1]])
     vertices = np.vstack([mesh.vertices, mids])
+    parents = np.empty((nv + cut_ids.size, 2), dtype=np.int64)
+    parents[:nv] = -1 if mesh.vertex_parents is None else mesh.vertex_parents
+    parents[nv:] = et.edges[cut_ids]
 
     beids = edge_ids_of(et, mesh.boundary_edges)
     bcut = cut[beids]
@@ -260,7 +289,7 @@ def _split_edges(mesh: Mesh, et: EdgeTable, cut):
             np.stack([mids_b, j[bcut]], axis=1),
         ]
     )
-    return vertices, new_vertex, bedges
+    return vertices, new_vertex, bedges, parents
 
 
 def global_refine(mesh: Mesh) -> Mesh:
@@ -271,7 +300,7 @@ def global_refine(mesh: Mesh) -> Mesh:
     numbering.
     """
     et = edge_table(mesh)
-    vertices, new_vertex, bedges = _split_edges(mesh, et, np.ones(et.n_edges, dtype=bool))
+    vertices, new_vertex, bedges, parents = _split_edges(mesh, et, np.ones(et.n_edges, dtype=bool))
 
     a, b, c = mesh.elements[:, 0], mesh.elements[:, 1], mesh.elements[:, 2]
     mab = new_vertex[et.elem_to_edge[:, 0]]
@@ -293,6 +322,7 @@ def global_refine(mesh: Mesh) -> Mesh:
         boundary_edges=bedges,
         generation=np.tile(mesh.generation + 1, 4),
         domain_area=mesh.domain_area,
+        vertex_parents=parents,
     )
 
 
@@ -322,7 +352,7 @@ def bisect_marked(mesh: Mesh, marked) -> Mesh:
         cut[need] = True
         if np.count_nonzero(cut) == grown:
             break
-    vertices, new_vertex, bedges = _split_edges(mesh, et, cut)
+    vertices, new_vertex, bedges, parents = _split_edges(mesh, et, cut)
 
     elems_out = []
     gens_out = []
@@ -366,6 +396,7 @@ def bisect_marked(mesh: Mesh, marked) -> Mesh:
         boundary_edges=bedges,
         generation=np.concatenate(gens_out).astype(np.int32),
         domain_area=mesh.domain_area,
+        vertex_parents=parents,
     )
 
 

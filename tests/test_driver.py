@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from mpdwr import driver
 from mpdwr.driver import (
     AdaptConfig,
     AdaptHistory,
@@ -23,6 +25,7 @@ from mpdwr.driver import (
 )
 from mpdwr.estimator import IndicatorField
 from mpdwr.fespace import build_space, l2_error
+from mpdwr.linsolve import default_tol
 from mpdwr.mesh import edge_table, global_refine, unit_square_template
 from mpdwr.problems import Functional, get_functional, get_problem
 from mpdwr.scalar import DOUBLE, HALF, SINGLE
@@ -276,8 +279,12 @@ def test_post_process_error_not_worse():
 
 
 def test_post_process_warm_start_refines_single_solution():
-    prob, func = get_problem("e3"), get_functional("j1")
-    cfg = small_cfg(post_process=True, tol=1e-30, max_iter=4, solver_tol=2e-6)
+    # default tolerances: the single primal stops at 100*eps(single), about
+    # 1.2e-5, and the double re-solve must go on to 100*eps(double), so the
+    # warm start has work to do (at a shared 2e-6 the last single solution
+    # can already meet the double tolerance, and the re-solve takes 0 steps)
+    prob, func = get_problem("e4"), get_functional("j3")
+    cfg = small_cfg(post_process=True, tol=1e-30, max_iter=4)
     mesh, u_post, hist = mpdwr_adapt(prob, func, cfg)
     u_cold, _, cold_iters = post_process(mesh, prob, tol=cfg.solver_tol)
     assert u_post.space.precision is DOUBLE
@@ -449,19 +456,28 @@ def test_cascade_records_time_every_phase():
         assert r.t_dual > 0.0
         assert r.t_indicator > 0.0
         assert r.t_refine > 0.0
-        assert r.dual_iterations > 0
-    assert hist.records[-1].dual_iterations == 0
+    # a prolonged start may already meet the loose half-stage marking
+    # tolerance (0 iterations); the first dual starts from zero
+    assert hist.records[0].dual_iterations > 0
+    assert hist.records[-1].t_dual == 0.0 and hist.records[-1].dual_iterations == 0
 
 
 def test_dual_iterations_recorded_and_exported():
+    # the first in-loop dual starts from zero and stops at the marking
+    # tolerance max(sqrt(tol_primal), tol_dual)
     prob, func = get_problem("e3"), get_functional("j1")
     mesh = initial_mesh(1)
-    _, rep = dual_solve_mpdwr(mesh, func, "double")
+    marking_tol = max(math.sqrt(default_tol(SINGLE)), default_tol(DOUBLE))
+    _, rep = dual_solve_mpdwr(mesh, func, "double", tol=marking_tol)
+    _, rep_primal = solve_primal(mesh, prob, "single")
     _, _, hist = mpdwr_adapt(prob, func, small_cfg(tol=1e-30, max_iter=2))
     assert hist.records[0].dual_iterations == rep.iterations > 0
-    assert AdaptHistory.CSV_COLUMNS.endswith(",t_eval,dual_iters")
-    rows = hist.csv_rows()
-    assert [int(row.split(",")[-1]) for row in rows] == [r.dual_iterations for r in hist.records]
+    assert hist.records[0].primal_iterations == rep_primal.iterations > 0
+    assert all(r.primal_iterations > 0 for r in hist.records)
+    assert AdaptHistory.CSV_COLUMNS.endswith(",t_eval,dual_iters,primal_iters")
+    rows = [row.split(",") for row in hist.csv_rows()]
+    assert [int(row[-2]) for row in rows] == [r.dual_iterations for r in hist.records]
+    assert [int(row[-1]) for row in rows] == [r.primal_iterations for r in hist.records]
     _, _, hist_res = residual_adapt(prob, func, small_cfg(tol=1e-30, max_iter=2))
     assert all(r.dual_iterations == 0 for r in hist_res.records)
 
@@ -523,6 +539,54 @@ def test_dual_method_approach1_in_loop():
     assert dofs[-1] > dofs[0]
     with pytest.raises(ValueError):
         small_cfg(dual_method="amg")
+
+
+def _spy_pcg(monkeypatch):
+    """Record (report, started from x0) of every PCG solve in mpdwr.driver."""
+    seen = []
+    real = driver.pcg
+
+    def spy(A, b, p, tol=None, maxit=None, x0=None):
+        if x0 is not None:
+            assert x0.shape == (A.shape[0],)
+        x, report = real(A, b, p, tol=tol, maxit=maxit, x0=x0)
+        seen.append((report, x0 is not None))
+        return x, report
+
+    monkeypatch.setattr(driver, "pcg", spy)
+    return seen
+
+
+@pytest.mark.parametrize("method", ["mpdwr", "approach1", "approach2"])
+def test_in_loop_dual_warm_start_and_marking_tolerance(monkeypatch, method):
+    # exact mode: every dual after the first starts from the prolonged (and,
+    # for the classical duals, lifted) previous dual and stops at
+    # sqrt(solver_tol); the primal keeps solver_tol
+    prob, func = get_problem("e3"), get_functional("j1")
+    cfg = small_cfg(tol=1e-30, max_iter=3, solver_tol=2e-6, dual_method=method)
+    seen = _spy_pcg(monkeypatch)
+    _, _, hist = mpdwr_adapt(prob, func, cfg)
+    primals, duals = seen[0::2], seen[1::2]
+    assert len(primals) == 4 and len(duals) == 3
+    assert [rep.tol for rep, _ in primals] == [2e-6] * 4
+    assert [rep.tol for rep, _ in duals] == [math.sqrt(2e-6)] * 3
+    assert [warm for _, warm in seen] == [False, False, False, True, False, True, False]
+    assert [rep.iterations for rep, _ in duals] == [r.dual_iterations for r in hist.records[:-1]]
+    assert [rep.iterations for rep, _ in primals] == [r.primal_iterations for r in hist.records]
+
+
+def test_in_loop_dual_tolerance_estimated_mode(monkeypatch):
+    # an estimated-mode dual feeds estimate_Je and keeps its own tolerance
+    prob, func = get_problem("e3"), get_functional("j1")
+    seen = _spy_pcg(monkeypatch)
+    mpdwr_adapt(prob, func, small_cfg(je_mode="estimated", tol=1e-30, max_iter=2))
+    duals = [(rep, warm) for rep, warm in seen if rep.precision is DOUBLE]
+    assert [rep.tol for rep, _ in duals] == [default_tol(DOUBLE)] * 3
+    assert [warm for _, warm in duals] == [False, True, True]
+    seen.clear()
+    mpdwr_adapt(prob, func, small_cfg(tol=1e-30, max_iter=2))
+    duals = [rep for rep, _ in seen if rep.precision is DOUBLE]
+    assert [rep.tol for rep in duals] == [math.sqrt(default_tol(SINGLE))] * 2
 
 
 def test_limit_monitor_residual_growth_flag():

@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mpdwr
+from mpdwr.driver import initial_mesh
+from mpdwr.fespace import Solution, build_space, eval as fe_eval, quadrature, solution_values
 from mpdwr.mesh import (
     Mesh,
     bisect_marked,
@@ -12,6 +20,7 @@ from mpdwr.mesh import (
     global_refine,
     min_angle,
     min_element_volume,
+    prolong,
     save_mesh_text,
     unit_square_template,
 )
@@ -209,3 +218,91 @@ def test_refinement_properties(seed, rounds, fraction, from_template):
         m = out
     red = global_refine(m)
     assert len(check_refinement(m, red)) == edge_table(m).n_edges
+
+
+def test_check_conforming_raises_under_python_O():
+    # a clockwise mesh must fail the check also when asserts are compiled out
+    code = (
+        "import sys\n"
+        "from mpdwr.mesh import check_conforming, unit_square_template\n"
+        "if not sys.flags.optimize: sys.exit(3)\n"
+        "m = unit_square_template()\n"
+        "m.elements = m.elements[:, [1, 0, 2]].copy()\n"
+        "check_conforming(m)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mpdwr.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "AssertionError: element with non-positive signed area" in proc.stderr
+
+
+def test_global_refine_parents_are_edge_table_order():
+    m = initial_mesh(1)
+    fine = global_refine(m)
+    assert fine.vertex_parents.dtype == np.int64
+    assert np.array_equal(fine.vertex_parents[: m.n_vertices], m.vertex_parents)
+    assert np.array_equal(fine.vertex_parents[m.n_vertices :], edge_table(m).edges)
+    assert unit_square_template().vertex_parents is None
+    assert (global_refine(unit_square_template()).vertex_parents[:41] == -1).all()
+
+
+def test_lift_p1_exact_on_red_refined_mesh_and_in_p2():
+    # the lift of the classical duals: with the edge-order rows, prolong
+    # gives the same function on global_refine(m), at every child centroid,
+    # and in the degree-2 space of m, at every degree-4 point
+    m = bisect_marked(initial_mesh(1), np.arange(0, 256, 5))
+    x = np.random.default_rng(1).standard_normal(m.n_vertices)
+    lifted = prolong(x, edge_table(m).edges)
+    assert lifted[: m.n_vertices].tobytes() == x.tobytes()
+    coarse = Solution(build_space(m, 1, "double"), x)
+    fine = global_refine(m)
+    centroids = fine.vertices[fine.elements].mean(axis=1)
+    at_centroids = lifted[fine.elements].mean(axis=1)
+    assert np.abs(at_centroids - fe_eval(coarse, centroids)).max() <= 1e-14 * np.abs(x).max()
+    rule = quadrature(4)
+    p2 = Solution(build_space(m, 2, "double"), lifted)
+    assert np.abs(solution_values(p2, rule) - solution_values(coarse, rule)).max() <= 1e-14 * np.abs(x).max()
+
+
+def _parentless(m):
+    """m as a mesh that records no refinement history."""
+    return Mesh(m.vertices, m.elements, m.boundary_edges, m.generation, m.domain_area)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 0.6), min_size=1, max_size=4),
+       st.booleans())
+def test_vertex_parents_properties(seed, steps, parentless):
+    # a fraction 0 stands for a global_refine step
+    rng = np.random.default_rng(seed)
+    m = _parentless(initial_mesh(1)) if parentless else initial_mesh(1)
+    n_start = m.n_vertices
+
+    def lin(v):  # exact in floating point on these dyadic vertices
+        return 3.0 - 2.0 * v[:, 0] + 5.0 * v[:, 1]
+
+    for fraction in steps:
+        if fraction == 0.0:
+            out = global_refine(m)
+        else:
+            size = max(1, int(fraction * m.n_elements))
+            out = bisect_marked(m, rng.choice(m.n_elements, size=size, replace=False))
+        P = out.vertex_parents
+        assert P.shape == (out.n_vertices, 2)
+        if m.vertex_parents is not None:
+            assert np.array_equal(P[: m.n_vertices], m.vertex_parents)
+        born = np.nonzero(P[:, 0] >= 0)[0]
+        assert ((P[:, 0] >= 0) == (P[:, 1] >= 0)).all()
+        if parentless:
+            assert (P[:n_start] == -1).all()
+        assert (born >= m.n_vertices).sum() == out.n_vertices - m.n_vertices
+        mids = 0.5 * (out.vertices[P[born, 0]] + out.vertices[P[born, 1]])
+        assert mids.tobytes() == out.vertices[born].tobytes()
+        assert (P[born] < born[:, None]).all()
+        new = P[m.n_vertices :]
+        assert prolong(lin(m.vertices), new).tobytes() == lin(out.vertices).tobytes()
+        x = rng.standard_normal(m.n_vertices)
+        coarse = fe_eval(Solution(build_space(m, 1, "double"), x), out.vertices[m.n_vertices :])
+        assert np.abs(prolong(x, new)[m.n_vertices :] - coarse).max() <= 1e-13 * np.abs(x).max()
+        m = out
