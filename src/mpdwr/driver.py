@@ -266,7 +266,10 @@ def _dual_tol(cfg, p_primal, p_dual):
     default_tol.  An estimated-mode dual feeds estimate_Je and gets its
     own; in exact mode the dual only weights the marking, through
     ||grad w||_K, and stops at max(sqrt(tol_primal), tol_dual), never
-    tighter than its own tolerance.
+    tighter than its own tolerance.  The root is taken of at most the
+    single primal's default_tol (sqrt: 3.4e-3): a half primal's 100 eps
+    would give 0.31, which the prolonged start already meets, and marking
+    would reuse a dual of an earlier mesh.
     """
 
     def own(p):
@@ -274,7 +277,7 @@ def _dual_tol(cfg, p_primal, p_dual):
 
     if cfg.je_mode == "estimated":
         return own(p_dual)
-    return max(math.sqrt(own(p_primal)), own(p_dual))
+    return max(math.sqrt(min(own(p_primal), default_tol(SINGLE))), own(p_dual))
 
 
 def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):

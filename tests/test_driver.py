@@ -456,10 +456,8 @@ def test_cascade_records_time_every_phase():
         assert r.t_dual > 0.0
         assert r.t_indicator > 0.0
         assert r.t_refine > 0.0
-    # a prolonged start may already meet the loose half-stage marking
-    # tolerance (0 iterations); the first dual starts from zero
-    assert hist.records[0].dual_iterations > 0
-    assert hist.records[-1].t_dual == 0.0 and hist.records[-1].dual_iterations == 0
+        assert r.dual_iterations > 0
+    assert hist.records[-1].dual_iterations == 0
 
 
 def test_dual_iterations_recorded_and_exported():
@@ -587,6 +585,26 @@ def test_in_loop_dual_tolerance_estimated_mode(monkeypatch):
     mpdwr_adapt(prob, func, small_cfg(tol=1e-30, max_iter=2))
     duals = [rep for rep, _ in seen if rep.precision is DOUBLE]
     assert [rep.tol for rep in duals] == [math.sqrt(default_tol(SINGLE))] * 2
+
+
+def test_in_loop_dual_tolerance_half_primal(monkeypatch):
+    # a half primal's sqrt(100 eps_half) = 0.31 is capped at the single
+    # primal's sqrt(100 eps_single), so the cascade's half stage solves a
+    # dual on every mesh; the cap never goes below tol_dual
+    marking_tol = math.sqrt(default_tol(SINGLE))
+    assert driver._dual_tol(small_cfg(), HALF, SINGLE) == marking_tol
+    assert driver._dual_tol(small_cfg(solver_tol=1e-2), HALF, SINGLE) == 1e-2
+    assert driver._dual_tol(small_cfg(solver_tol=1e-2), SINGLE, DOUBLE) == 1e-2
+    assert driver._dual_tol(small_cfg(), HALF, HALF) == default_tol(HALF)
+    prob, func = get_problem("e3"), get_functional("j1")
+    seen = _spy_pcg(monkeypatch)
+    _, _, hist = precision_cascade(prob, func, small_cfg(tol=1e-30, max_iter=4), force_switch_at=1)
+    primals, duals = seen[0::2], seen[1::2]
+    assert [rep.precision for rep, _ in primals] == [HALF] * 2 + [SINGLE] * 3
+    duals = [rep for rep, _ in duals]
+    assert [rep.precision for rep in duals] == [SINGLE] * 2 + [DOUBLE] * 2
+    assert [rep.tol for rep in duals] == [marking_tol] * 4
+    assert all(rep.iterations > 0 for rep in duals)
 
 
 def test_limit_monitor_residual_growth_flag():
