@@ -77,7 +77,7 @@ class IterationRecord:
     primal_residual: float
     t_primal: float
     t_dual: float
-    t_indicator: float
+    t_indicator: float  # indicators and marking
     t_refine: float
     primal_precision: str
     dual_precision: str
@@ -197,21 +197,21 @@ def dual_solve_mpdwr(mesh, functional: Functional, p_dual, tol=None, maxit=None)
     return w, report
 
 
-def dual_solve_approach1(mesh, functional: Functional, p=DOUBLE, tol=None, maxit=None):
-    """Classic h-refinement dual: solve on a globally refined mesh.
+def dual_solve_approach1(mesh, functional: Functional, tol=None, maxit=None):
+    """Classic h-refinement dual in double: solve on a globally refined mesh.
 
     Returns (fine solution, its nodal restriction to the original mesh).
     """
-    w_fine, w_restricted, _ = _dual(mesh, functional, p, "approach1", tol, maxit)
+    w_fine, w_restricted, _ = _dual(mesh, functional, DOUBLE, "approach1", tol, maxit)
     return w_fine, w_restricted
 
 
-def dual_solve_approach2(mesh, functional: Functional, p=DOUBLE, tol=None, maxit=None):
-    """Classic p-refinement dual: degree-2 space on the same mesh.
+def dual_solve_approach2(mesh, functional: Functional, tol=None, maxit=None):
+    """Classic p-refinement dual in double: degree-2 space on the same mesh.
 
     Returns (quadratic solution, its vertex-value restriction to degree 1).
     """
-    w2, w_restricted, _ = _dual(mesh, functional, p, "approach2", tol, maxit)
+    w2, w_restricted, _ = _dual(mesh, functional, DOUBLE, "approach2", tol, maxit)
     return w2, w_restricted
 
 
@@ -374,9 +374,8 @@ def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
             if cfg.indicator == "dwr":
                 ind = dwr_indicator(res, w, "gradient")
                 record.eta_dwr_total = ind.total
-            record.t_indicator = time.perf_counter() - t0
-
             marked = marking(ind, cfg.marking_theta)
+            record.t_indicator = time.perf_counter() - t0
             if marked.size == 0:
                 history.flags.append(f"all-zero indicator at iteration {k}; stopping")
                 break

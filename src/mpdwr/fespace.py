@@ -25,7 +25,6 @@ from .scalar import DOUBLE, Precision, precision, round_to
 class QuadratureRule:
     points: np.ndarray   # (nq, 3) barycentric coordinates
     weights: np.ndarray  # (nq,) summing to the reference area 1/2
-    exactness: int
 
 
 def _orbit3(a, b):
@@ -91,7 +90,6 @@ def quadrature(exactness_degree: int) -> QuadratureRule:
     return QuadratureRule(
         points=np.asarray(pts, dtype=np.float64),
         weights=0.5 * np.asarray(w, dtype=np.float64),
-        exactness=exactness_degree,
     )
 
 
@@ -184,9 +182,9 @@ def build_space(m: meshmod.Mesh, degree: int, p) -> FESpace:
             degree=1,
             precision=p,
             n_dofs=nv,
-            dof_coords=m.vertices.copy(),
-            boundary_dofs=np.sort(bvert),
-            element_dof_map=m.elements.copy(),
+            dof_coords=m.vertices,
+            boundary_dofs=bvert,
+            element_dof_map=m.elements,
         )
     et = meshmod.edge_table(m)  # edges already sorted lexicographically
     mids = 0.5 * (m.vertices[et.edges[:, 0]] + m.vertices[et.edges[:, 1]])
@@ -213,42 +211,6 @@ def interpolate(space: FESpace, g) -> Solution:
 
 def zero_solution(space: FESpace) -> Solution:
     return Solution(space, np.zeros(space.n_dofs, dtype=space.precision.dtype))
-
-
-def eval(u: Solution, points):  # noqa: A001 - spec operation name
-    """Evaluate u at physical points (scalar pair or (np, 2) array).
-
-    Points are located by a barycentric scan over all elements; raises
-    ValueError for points outside the closed domain.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    m = u.space.mesh
-    v = m.vertices[m.elements]  # (ne, 3, 2)
-    a = v[:, 0]
-    d1 = v[:, 1] - a
-    d2 = v[:, 2] - a
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    out = np.empty(pts.shape[0], dtype=u.space.precision.dtype)
-    coeffs = u.coefficients
-    for i, xy in enumerate(pts):
-        r = xy - a
-        lam1 = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / det
-        lam2 = (d1[:, 0] * r[:, 1] - d1[:, 1] * r[:, 0]) / det
-        lam0 = 1.0 - lam1 - lam2
-        score = np.minimum(np.minimum(lam0, lam1), lam2)
-        e = int(np.argmax(score))
-        if score[e] < -1e-9:
-            raise ValueError(f"point {tuple(xy)} lies outside the domain")
-        bary = np.array([[lam0[e], lam1[e], lam2[e]]])
-        phi = round_to(basis_values(u.space.degree, bary)[0], u.space.precision)
-        local = coeffs[u.space.element_dof_map[e]]
-        acc = u.space.precision.dtype.type(0.0)
-        for j in range(phi.shape[0]):
-            acc = u.space.precision.dtype.type(acc + phi[j] * local[j])
-        out[i] = acc
-    if np.ndim(points) == 1:
-        return out[0]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ class EdgeTable:
     edges: np.ndarray          # (nE, 2) int64, sorted pairs
     elem_to_edge: np.ndarray   # (ne, 3) int64
     edge_to_elem: np.ndarray   # (nE, 2) int64, -1 = no neighbor
-    edge_local: np.ndarray     # (nE, 2) int64, local edge index within element
 
     @property
     def n_edges(self):
@@ -99,10 +98,8 @@ def edge_table(mesh: Mesh) -> EdgeTable:
     del counts
     slot = (~first).view(np.int8)
     edge_to_elem = np.full((edges.shape[0], 2), -1, dtype=np.int64)
-    edge_local = np.full((edges.shape[0], 2), -1, dtype=np.int64)
     edge_to_elem[eids, slot] = order // 3
-    edge_local[eids, slot] = order % 3
-    return EdgeTable(edges, elem_to_edge, edge_to_elem, edge_local)
+    return EdgeTable(edges, elem_to_edge, edge_to_elem)
 
 
 def edge_ids_of(et: EdgeTable, pairs) -> np.ndarray:

@@ -28,8 +28,6 @@ class Problem:
     u_exact: object
     grad_u_exact: object
     f: object
-    k: float | None = None
-    domain: tuple = (-1.0, 1.0, -1.0, 1.0)
 
 
 @dataclass
@@ -184,7 +182,7 @@ def _f3_aniso(x, y):
 _PROBLEMS = {
     "e1": Problem("e1", _u1_sin, _grad_u1_sin, _f1_sin),
     "e2": Problem("e2", _u2_steep, _grad_u2_steep, _f2_steep),
-    "e3": Problem("e3", _u3_aniso, _grad_u3_aniso, _f3_aniso, k=_K_ANISO),
+    "e3": Problem("e3", _u3_aniso, _grad_u3_aniso, _f3_aniso),
     "e4": Problem("e4", _u2_steep, _grad_u2_steep, _f2_steep),
 }
 

@@ -150,6 +150,7 @@ def limit_runs():
 # criteria
 # --------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_01_orthogonality_break(ladder):
     ok = ladder["wall"] < 30.0
     details = [f"wall={ladder['wall']:.1f}s"]
@@ -202,6 +203,7 @@ def test_criterion_03_assembly_oracle():
     assert report(3, ok, f"local max err={local_err:.2e}, row-sum worst={worst:.2f}x bound")
 
 
+@pytest.mark.slow
 def test_criterion_04_convergence_rate(ladder):
     rows = ladder["e1"]
     rate = -2 * np.polyfit(np.log([r["dofs"] for r in rows]), np.log([r["l2"] for r in rows]), 1)[0]
@@ -225,6 +227,7 @@ def test_criterion_05_functional_oracle():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_goal_oriented_efficiency(goal_runs):
     ok = goal_runs["wall"] < 300.0
     details = [f"wall={goal_runs['wall']:.0f}s"]
@@ -240,6 +243,7 @@ def test_criterion_06_goal_oriented_efficiency(goal_runs):
     assert report(6, ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_07_dual_solve_economics(dual_timing):
     mesh = dual_timing["mesh"]
     fine_dofs = global_refine(mesh).n_vertices
@@ -272,6 +276,7 @@ def test_criterion_08_degenerate_same_precision():
     assert report(8, ok, f"|estimate|={abs(value):.3e} <= 10*tol*scale={bound:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_09_post_processing_cost(goal_runs):
     hist, _ = goal_runs[("e4", "j3")]
     total = sum(r.t_primal + r.t_dual + r.t_indicator + r.t_refine for r in hist.records)
@@ -291,6 +296,7 @@ def test_criterion_09_post_processing_cost(goal_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_precision_limit(limit_runs):
     # the single-precision primal's true algebraic residual floors at the
     # rounding level and grows with refinement while the double run's keeps

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpdwr import driver
 from mpdwr.driver import (
@@ -105,6 +107,35 @@ def test_marking_against_exhaustive_subset_oracle():
         expect = set(np.argsort(-sq, kind="stable")[:best_size].tolist())
         assert got == expect
         assert sq[list(got)].sum() >= theta * total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # nonnegative indicators with ties and zeros among arbitrary values
+    st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e3)), min_size=1, max_size=40),
+    st.floats(0.01, 0.99),
+)
+def test_marking_dorfler_minimality(values, theta):
+    assert marking(np.zeros(len(values)), theta).size == 0
+    got = marking(values, theta)
+    sq = np.asarray(values, dtype=np.float64) ** 2
+    total = sq.sum()
+    if total <= 0.0:
+        assert got.size == 0
+        return
+    assert got.size > 0 and np.all(np.diff(got) > 0)  # sorted and unique
+    # in the order the function takes them (descending, ties by lower
+    # index) the marked set reaches theta * total only at its last element
+    taken = sorted(got.tolist(), key=lambda i: (-sq[i], i))
+    csum = np.cumsum(sq[taken])
+    assert csum[-1] >= theta * total
+    assert got.size == 1 or csum[-2] < theta * total
+    # no unmarked value beats a marked one; ties go to the lower index
+    unmarked = np.setdiff1d(np.arange(sq.size), got)
+    if unmarked.size:
+        low = sq[got].min()
+        assert sq[unmarked].max() <= low
+        assert np.all(unmarked[sq[unmarked] == low] > got[sq[got] == low].max())
 
 
 def test_marking_accepts_indicator_field():
@@ -458,6 +489,33 @@ def test_cascade_records_time_every_phase():
         assert r.t_refine > 0.0
         assert r.dual_iterations > 0
     assert hist.records[-1].dual_iterations == 0
+
+
+def test_named_phases_cover_the_wall_time():
+    # every second of an adaptive run belongs to a named phase: the
+    # per-iteration phases plus the post-process
+    prob, func = get_problem("e3"), get_functional("j2")
+    cfg = AdaptConfig(tol=1e-5, max_iter=10)
+    mesh = initial_mesh(cfg.initial_refines)
+    t0 = time.perf_counter()
+    _, _, hist = mpdwr_adapt(prob, func, cfg, mesh)
+    wall = time.perf_counter() - t0
+    assert hist.post_process_time is not None
+    phases = sum(r.t_primal + r.t_dual + r.t_eval + r.t_indicator + r.t_refine for r in hist.records)
+    assert 0.95 * wall <= phases + hist.post_process_time <= wall
+
+
+def test_marking_is_timed_in_t_indicator(monkeypatch):
+    pause = 0.02
+
+    def slow_marking(ind, theta):
+        time.sleep(pause)
+        return marking(ind, theta)
+
+    monkeypatch.setattr(driver, "marking", slow_marking)
+    _, _, hist = mpdwr_adapt(get_problem("e3"), get_functional("j1"), small_cfg(tol=1e-30))
+    assert len(hist.records) == 4
+    assert all(r.t_indicator >= pause for r in hist.records[:-1])
 
 
 def test_dual_iterations_recorded_and_exported():

@@ -6,9 +6,9 @@ import pytest
 from mpdwr.fespace import (
     basis_values,
     build_space,
-    eval as fe_eval,
     interpolate,
     l2_error,
+    quad_points_physical,
     quadrature,
     solution_values,
 )
@@ -95,20 +95,21 @@ def test_dof_maps_identical_across_precisions():
 
 
 def test_nodal_basis_duality():
-    # evaluating each basis function at every nodal point gives identity
-    m = two_triangle_square()
-    for degree in (1, 2):
+    # the reference basis is nodal: phi_j(node k) = delta_jk at the three
+    # vertices and the three edge midpoints (a,b), (b,c), (c,a)
+    nodes = np.array(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]
+    )
+    for degree, nloc in ((1, 3), (2, 6)):
+        assert np.array_equal(basis_values(degree, nodes[:nloc]), np.eye(nloc))
+    # and the affine image of local node k of element e is the coordinate
+    # of its global DoF element_dof_map[e, k]
+    m = global_refine(two_triangle_square())
+    v = m.vertices[m.elements]  # (ne, 3, 2)
+    for degree, nloc in ((1, 3), (2, 6)):
         sp = build_space(m, degree, "double")
-        for i in range(sp.n_dofs):
-            coeffs = np.zeros(sp.n_dofs)
-            coeffs[i] = 1.0
-            from mpdwr.fespace import Solution
-
-            u = Solution(sp, coeffs)
-            vals = fe_eval(u, sp.dof_coords)
-            expect = np.zeros(sp.n_dofs)
-            expect[i] = 1.0
-            assert np.allclose(vals, expect, atol=1e-13)
+        image = np.einsum("kj,ejd->ekd", nodes[:nloc], v)
+        assert np.array_equal(image, sp.dof_coords[sp.element_dof_map])
 
 
 def test_partition_of_unity():
@@ -124,32 +125,24 @@ def test_partition_of_unity():
 
 
 def test_eval_reproduces_linear():
+    # the P1 interpolant of a linear field is the field itself, so its
+    # values at the quadrature points are g there
     m = global_refine(unit_square_template())
     sp = build_space(m, 1, "double")
     g = lambda x, y: x + 2 * y
-    u = interpolate(sp, g)
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(-0.99, 0.99, size=(50, 2))
-    vals = fe_eval(u, pts)
-    assert np.allclose(vals, g(pts[:, 0], pts[:, 1]), atol=1e-13)
+    rule = quadrature(4)
+    pts, _ = quad_points_physical(m, rule)
+    vals = solution_values(interpolate(sp, g), rule)
+    assert np.allclose(vals, g(pts[..., 0], pts[..., 1]), atol=1e-13)
 
 
 def test_eval_p2_reproduces_quadratic():
     m = global_refine(unit_square_template())
     sp = build_space(m, 2, "double")
-    u = interpolate(sp, lambda x, y: x**2)
-    rng = np.random.default_rng(6)
-    pts = rng.uniform(-0.99, 0.99, size=(100, 2))
-    assert np.allclose(fe_eval(u, pts), pts[:, 0] ** 2, atol=1e-12)
-
-
-def test_eval_outside_domain():
-    sp = build_space(unit_square_template(), 1, "double")
-    from mpdwr.fespace import Solution
-
-    u = Solution(sp, np.zeros(sp.n_dofs))
-    with pytest.raises(ValueError):
-        fe_eval(u, (3.0, 0.0))
+    rule = quadrature(8)
+    pts, _ = quad_points_physical(m, rule)
+    vals = solution_values(interpolate(sp, lambda x, y: x**2), rule)
+    assert np.allclose(vals, pts[..., 0] ** 2, atol=1e-12)
 
 
 def test_interpolate_zero_field():

@@ -55,10 +55,8 @@ def ref_edge_table(mesh):
     first[1:] = eids[1:] != eids[:-1]
     slot = np.where(first, 0, 1)
     edge_to_elem = np.full((edges.shape[0], 2), -1, dtype=np.int64)
-    edge_local = np.full((edges.shape[0], 2), -1, dtype=np.int64)
     edge_to_elem[eids, slot] = np.repeat(np.arange(ne, dtype=np.int64), 3)[order]
-    edge_local[eids, slot] = np.tile(np.arange(3, dtype=np.int64), ne)[order]
-    return edges, inverse.reshape(ne, 3), edge_to_elem, edge_local
+    return edges, inverse.reshape(ne, 3), edge_to_elem
 
 
 def ref_element_geometry(space):
@@ -193,7 +191,7 @@ def random_solution(m, degree, seed):
 
 def check_mesh_kernels(m, seed=0):
     et = edge_table(m)
-    for got, want in zip((et.edges, et.elem_to_edge, et.edge_to_elem, et.edge_local), ref_edge_table(m)):
+    for got, want in zip((et.edges, et.elem_to_edge, et.edge_to_elem), ref_edge_table(m)):
         assert same_bytes(got, want)
     for degree in (4, 8):
         rule = quadrature(degree)

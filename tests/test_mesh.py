@@ -209,16 +209,23 @@ def check_refinement(old, new):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(0.02, 0.6), st.booleans())
 def test_refinement_properties(seed, rounds, fraction, from_template):
+    # rounds of random bisection, some of them red refinement while the mesh
+    # is small, and a final red refinement; from the criss-cross template
+    # every element stays right-isosceles, so the minimum angle stays 45°
     rng = np.random.default_rng(seed)
     m = unit_square_template() if from_template else two_triangle_square(diagonal_tags=False)
-    for _ in range(rounds):
-        size = max(1, int(fraction * m.n_elements))
-        out = bisect_marked(m, rng.choice(m.n_elements, size=size, replace=False))
-        assert out.n_vertices > m.n_vertices
-        check_refinement(m, out)
+    for r in range(rounds + 1):
+        if r == rounds or (rng.random() < 0.25 and m.n_elements <= 1024):
+            out = global_refine(m)
+            assert len(check_refinement(m, out)) == edge_table(m).n_edges
+        else:
+            size = max(1, int(fraction * m.n_elements))
+            out = bisect_marked(m, rng.choice(m.n_elements, size=size, replace=False))
+            assert out.n_vertices > m.n_vertices
+            check_refinement(m, out)
+        if from_template:
+            assert abs(min_angle(out) - np.pi / 4) <= 1e-12
         m = out
-    red = global_refine(m)
-    assert len(check_refinement(m, red)) == edge_table(m).n_edges
 
 
 def test_check_conforming_raises_under_python_O():
