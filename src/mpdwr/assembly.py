@@ -4,8 +4,9 @@ All assembly arithmetic (Jacobians, basis gradients, quadrature
 accumulation) runs at the target space's precision with a deterministic
 element-then-quadrature-point order, so the same mesh assembled twice gives
 bit-identical matrices.  Matrices are scipy CSR at the precision's storage
-dtype: binary16 values are rounded through float16 and stored in float32
-because scipy.sparse has no binary16 kernels.
+dtype.  scipy.sparse has no binary16 kernels, so binary16 element
+contributions are stored in float32 and summed there, never rounded back:
+the emulated hardware is binary16 arithmetic with binary32 accumulation.
 """
 
 from __future__ import annotations
@@ -87,6 +88,12 @@ def assemble_stiffness(space: FESpace):
 
 def assemble_load(space: FESpace, f, exactness: int = ASSEMBLY_DEGREE):
     """F_i = sum_K int_K f phi_i, at space precision."""
+    return _load(space, f, exactness)
+
+
+def _load(space: FESpace, f, exactness):
+    """The load routine behind assemble_load and assemble_functional; a
+    private call, so a traced run files each one's work under its own name."""
     p = space.precision
     rule = quadrature(exactness)
     a, J, det, _ = _element_geometry(space)
@@ -112,7 +119,7 @@ def assemble_functional(space: FESpace, functional):
     scaled by the inverse area at space precision."""
     p = space.precision
     inv_area = round_to(1.0 / functional.area, p)
-    return round_to(inv_area * assemble_load(space, functional.contains, EVALUATION_DEGREE), p)
+    return round_to(inv_area * _load(space, functional.contains, EVALUATION_DEGREE), p)
 
 
 def apply_dirichlet(A, rhs, bdofs):

@@ -94,6 +94,7 @@ class AdaptHistory:
     flags: list = field(default_factory=list)
     post_process_time: float | None = None
     post_l2: float | None = None
+    post_eval_time: float | None = None  # the post-processed L2 error
     post_iterations: int | None = None
     switched_at: int | None = None
 
@@ -398,7 +399,9 @@ def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
         u, history.post_process_time, history.post_iterations = post_process(
             mesh, problem, cfg.solver_tol, cfg.solver_maxit, u0=u
         )
+        t0 = time.perf_counter()
         history.post_l2 = l2_error(u, problem.u_exact)
+        history.post_eval_time = time.perf_counter() - t0
     return mesh, u, history
 
 

@@ -187,7 +187,6 @@ def build_space(m: meshmod.Mesh, degree: int, p) -> FESpace:
             element_dof_map=m.elements,
         )
     et = meshmod.edge_table(m)  # edges already sorted lexicographically
-    mids = 0.5 * (m.vertices[et.edges[:, 0]] + m.vertices[et.edges[:, 1]])
     dof_map = np.concatenate([m.elements, nv + et.elem_to_edge], axis=1)
     bedge_ids = meshmod.edge_ids_of(et, m.boundary_edges)
     boundary = np.sort(np.concatenate([bvert, nv + bedge_ids]))
@@ -196,7 +195,7 @@ def build_space(m: meshmod.Mesh, degree: int, p) -> FESpace:
         degree=2,
         precision=p,
         n_dofs=nv + et.n_edges,
-        dof_coords=np.vstack([m.vertices, mids]),
+        dof_coords=meshmod.prolong(m.vertices, et.edges),
         boundary_dofs=boundary,
         element_dof_map=dof_map,
     )
@@ -224,49 +223,31 @@ def element_transforms(m: meshmod.Mesh, p=DOUBLE):
     assembly at p and the orthogonality probe at p see the geometry that p
     can represent; the diagnostics use the double default.
     """
-    v = round_to(m.vertices, p)[m.elements]
-    a = v[:, 0]
-    J = np.stack([v[:, 1] - a, v[:, 2] - a], axis=2)  # (ne, 2, 2), columns
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    invJT = np.empty_like(J)
-    invJT[:, 0, 0] = J[:, 1, 1]
-    invJT[:, 0, 1] = -J[:, 1, 0]
-    invJT[:, 1, 0] = -J[:, 0, 1]
-    invJT[:, 1, 1] = J[:, 0, 0]
+    maps = meshmod.affine_maps(round_to(m.vertices, p), m.elements)
+    det = meshmod.affine_det(maps)
+    (ax, d1x, d2x), (ay, d1y, d2y) = maps
+    J = np.stack([d1x, d2x, d1y, d2y], axis=1).reshape(-1, 2, 2)  # columns b-a, c-a
+    invJT = np.stack([d2y, -d1y, -d2x, d1x], axis=1).reshape(-1, 2, 2)
     invJT /= det[:, None, None]
-    return a, J, det, invJT
+    return np.stack([ax, ay], axis=1), J, det, invJT
 
 
 def quad_points_physical(m: meshmod.Mesh, rule: QuadratureRule):
-    """Physical quadrature points (ne, nq, 2) and weights*detJ (ne, nq).
-
-    Point q of element e is a + (J[:, 0] r0 + J[:, 1] r1) for the reference
-    coordinates (r0, r1), one physical coordinate at a time.  The map and
-    det are formed here from vertex columns, not by element_transforms:
-    that route gives the same bytes but took about twice the time and
-    56 MB more peak memory on a million elements (see README).
-    """
+    """Physical quadrature points (ne, nq, 2) and weights*detJ (ne, nq): point
+    q is a + (b-a) r0 + (c-a) r1 at reference point (r0, r1), per coordinate."""
     ref = rule.points[:, 1:]  # (nq, 2) reference coordinates
+    maps = meshmod.affine_maps(m.vertices, m.elements)
     ne, nq = m.n_elements, ref.shape[0]
     pts = np.empty((ne, nq, 2))
-    cols = []
-    for i in range(2):
-        c = m.vertices[:, i][m.elements]  # (ne, 3) coordinate i of a, b, c
-        a = c[:, 0].copy()
-        d1 = c[:, 1] - a
-        d2 = c[:, 2] - a
-        cols.append((d1, d2))
-        x = np.empty((nq, ne))
+    x = np.empty((nq, ne))
+    for i, (a, d1, d2) in enumerate(maps):
         for q, (r0, r1) in enumerate(ref):
             np.multiply(d1, r0, out=x[q])
             x[q] += d2 * r1
             x[q] += a
         pts[:, :, i] = x.T
-        del c, x
-    (d1x, d2x), (d1y, d2y) = cols
-    det = d1x * d2y - d2x * d1y
-    wdet = rule.weights[None, :] * det[:, None]
-    return pts, wdet
+    del x  # as large as weights*det: free it first
+    return pts, rule.weights[None, :] * meshmod.affine_det(maps)[:, None]
 
 
 def solution_values(u: Solution, rule: QuadratureRule) -> np.ndarray:

@@ -114,11 +114,25 @@ def edge_ids_of(et: EdgeTable, pairs) -> np.ndarray:
     return idx
 
 
+def affine_maps(vertices, elements):
+    """Every element (a, b, c)'s affine map as (ne,) arrays (a_i, (b-a)_i,
+    (c-a)_i) per coordinate i, at the dtype of vertices (round them first)."""
+    maps = []
+    for i in range(2):
+        c = vertices[:, i][elements]  # (ne, 3) coordinate i of a, b, c
+        a = c[:, 0].copy()
+        maps.append((a, c[:, 1] - a, c[:, 2] - a))
+    return maps
+
+
+def affine_det(maps):
+    """Jacobian determinant (b-a)_x (c-a)_y - (c-a)_x (b-a)_y of affine_maps."""
+    (_, d1x, d2x), (_, d1y, d2y) = maps
+    return d1x * d2y - d2x * d1y
+
+
 def signed_areas(mesh: Mesh) -> np.ndarray:
-    v = mesh.vertices[mesh.elements]
-    d1 = v[:, 1] - v[:, 0]
-    d2 = v[:, 2] - v[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    return 0.5 * affine_det(affine_maps(mesh.vertices, mesh.elements))
 
 
 def element_areas(mesh: Mesh) -> np.ndarray:
@@ -269,11 +283,10 @@ def _split_edges(mesh: Mesh, et: EdgeTable, cut):
     nv = mesh.n_vertices
     new_vertex = np.full(et.n_edges, -1, dtype=np.int64)
     new_vertex[cut_ids] = nv + np.arange(cut_ids.size)
-    mids = 0.5 * (mesh.vertices[et.edges[cut_ids, 0]] + mesh.vertices[et.edges[cut_ids, 1]])
-    vertices = np.vstack([mesh.vertices, mids])
     parents = np.empty((nv + cut_ids.size, 2), dtype=np.int64)
     parents[:nv] = -1 if mesh.vertex_parents is None else mesh.vertex_parents
     parents[nv:] = et.edges[cut_ids]
+    vertices = prolong(mesh.vertices, parents[nv:])
 
     beids = edge_ids_of(et, mesh.boundary_edges)
     bcut = cut[beids]

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpdwr.assembly import apply_dirichlet, assemble_functional, assemble_load, assemble_stiffness
 from mpdwr.driver import initial_mesh, solve_primal
 from mpdwr.fespace import build_space
+from mpdwr.linsolve import PCGError
 from mpdwr.mesh import Mesh, bisect_marked, global_refine, unit_square_template
 from mpdwr.problems import Functional, get_functional, get_problem
+from mpdwr.scalar import precision
+from tests.test_kernels import random_bisections
 from tests.test_mesh import two_triangle_square
 
 
@@ -185,3 +189,53 @@ def test_assembly_deterministic():
     A1 = assemble_stiffness(sp)
     A2 = assemble_stiffness(sp)
     assert A1.data.tobytes() == A2.data.tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+def test_stiffness_across_precisions(seed, rounds):
+    # exactly symmetric at every precision, within a few eps_p of the
+    # double matrix, and constants in the kernel up to a few eps_p
+    m = random_bisections(seed, rounds)
+    for degree in (1, 2):
+        A_double = assemble_stiffness(build_space(m, degree, "double"))
+        for name in ("half", "single", "double"):
+            sp = build_space(m, degree, name)
+            A = assemble_stiffness(sp).astype(np.float64)
+            bound = 4 * precision(name).eps * abs(A).max()
+            assert abs(A - A.T).max() == 0.0, (degree, name)
+            assert abs(A - A_double).max() <= bound, (degree, name)
+            interior = np.setdiff1d(np.arange(sp.n_dofs), sp.boundary_dofs)
+            assert np.abs(np.asarray(A.sum(axis=1)).ravel()[interior]).max() <= bound, (degree, name)
+
+
+def test_half_stiffness_sums_binary16_contributions_in_binary32():
+    # the emulated hardware: each element contribution is a binary16 value,
+    # and the global entries are their float32 sums, never rounded back
+    A = assemble_stiffness(build_space(initial_mesh(4), 2, "half"))
+    assert A.dtype == np.float32
+    assert (A.data.astype(np.float16).astype(np.float32) != A.data).any()
+
+
+def one_element_mesh(h):
+    return Mesh(
+        vertices=np.array([[0.0, 0.0], [h, 0.0], [0.0, h]]),
+        elements=np.array([[0, 1, 2]], dtype=np.int64),
+        boundary_edges=np.array([[0, 1], [1, 2], [2, 0]], dtype=np.int64),
+        generation=np.zeros(1, dtype=np.int32),
+        domain_area=0.5 * h * h,
+    )
+
+
+def test_half_stiffness_overflows_below_leg_2_to_minus_7():
+    # inv(J)^T = 1/h stays finite, but g_a . g_a = 2/h^2 exceeds binary16's
+    # largest value 65,504 once h = 2^-8
+    assert np.isfinite(assemble_stiffness(build_space(one_element_mesh(2.0**-7), 1, "half")).data).all()
+    A = assemble_stiffness(build_space(one_element_mesh(2.0**-8), 1, "half"))
+    assert not np.isfinite(A.data).all()
+
+
+def test_level6_half_primal_breaks_down_on_the_overflowed_matrix():
+    # the level-6 half stiffness holds inf entries, so PCG fails at once
+    with pytest.raises(PCGError, match="at iteration 0"):
+        solve_primal(initial_mesh(6), get_problem("e3"), "half")

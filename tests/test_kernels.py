@@ -3,7 +3,9 @@
 The reference functions below are the straightforward einsum, batched
 matmul and ``np.unique(axis=0)`` formulations the kernels replace, plus
 frozen copies of the per-precision Jacobian code and of the orthogonality
-probe from before the geometry moved into ``fespace.element_transforms``.
+probe from before the geometry moved into ``fespace.element_transforms``,
+and of the areas, element norms and degree-2 node coordinates from before
+they moved onto ``mesh.affine_maps`` and ``mesh.prolong``.
 Every kernel must reproduce their bytes exactly, at every precision, on the
 dyadic meshes this code makes (template plus midpoint bisection), so that
 adaptive runs keep producing the same meshes and the same error trails.
@@ -32,9 +34,10 @@ from mpdwr.fespace import (
     quad_points_physical,
     quadrature,
     solution_gradients,
+    solution_values,
 )
-from mpdwr.estimator import galerkin_probe
-from mpdwr.mesh import bisect_marked, edge_table, min_element_volume
+from mpdwr.estimator import element_h1_seminorms, element_l2_norms, galerkin_probe
+from mpdwr.mesh import bisect_marked, edge_table, min_element_volume, signed_areas
 from mpdwr.problems import eval_functional, functional_error, get_functional, get_problem
 from mpdwr.scalar import round_to
 
@@ -118,6 +121,26 @@ def ref_quad_points(mesh, rule):
     a, J, det, _ = element_transforms(mesh)
     pts = a[:, None, :] + np.einsum("eij,qj->eqi", J, rule.points[:, 1:])
     return pts, rule.weights[None, :] * det[:, None]
+
+
+def ref_det(mesh):
+    v = mesh.vertices[mesh.elements]
+    d1 = v[:, 1] - v[:, 0]
+    d2 = v[:, 2] - v[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
+def ref_element_norms(w):
+    rule = quadrature(ASSEMBLY_DEGREE)
+    wdet = rule.weights[None, :] * ref_det(w.space.mesh)[:, None]
+    vals = solution_values(w, rule)
+    grads = solution_gradients(w, rule)
+    return np.sqrt(np.sum(wdet * vals**2, axis=1)), np.sqrt(np.sum(wdet * (grads**2).sum(axis=2), axis=1))
+
+
+def ref_p2_dof_coords(mesh):
+    edges = edge_table(mesh).edges
+    return np.vstack([mesh.vertices, 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])])
 
 
 def ref_solution_gradients(u, rule):
@@ -204,6 +227,17 @@ def check_mesh_kernels(m, seed=0):
             assert same_bytes(solution_gradients(u, rule), ref_solution_gradients(u, rule))
 
 
+def check_mesh_geometry(m):
+    """The areas, element norms and P2 node coordinates against their
+    formulations from before the shared affine-map kernel."""
+    assert same_bytes(signed_areas(m), 0.5 * ref_det(m))
+    assert same_bytes(build_space(m, 2, "double").dof_coords, ref_p2_dof_coords(m))
+    for degree in (1, 2):
+        w = random_solution(m, degree, 0)
+        for got, want in zip((element_l2_norms(w), element_h1_seminorms(w)), ref_element_norms(w)):
+            assert same_bytes(got, want), degree
+
+
 def jittered(m, seed=0):
     """m with every vertex moved by at most 2 % of the smallest element
     scale: same topology and orientation, but non-dyadic coordinates, so
@@ -215,14 +249,18 @@ def jittered(m, seed=0):
 
 def check_geometry_and_probe(m):
     for mesh in (m, jittered(m)):
+        check_mesh_geometry(mesh)
         check_geometry_and_probe_on(mesh)
 
 
 def check_geometry_and_probe_on(m):
     prob = get_problem("e3")
     u = interpolate(build_space(m, 1, "double"), prob.u_exact)
-    for got, want in zip(element_transforms(m), ref_element_geometry(build_space(m, 1, "double"))):
+    transforms = element_transforms(m)
+    for got, want in zip(transforms, ref_element_geometry(build_space(m, 1, "double"))):
         assert same_bytes(got, want)
+    # galerkin_probe's J @ ref[q] and einsums see C-contiguous (ne, 2, 2) arrays
+    assert transforms[1].flags.c_contiguous and transforms[3].flags.c_contiguous
     for prec in ("half", "single", "double"):
         space = build_space(m, 1, prec)
         for got, want in zip(assembly._element_geometry(space), ref_element_geometry(space)):

@@ -12,6 +12,8 @@ from mpdwr.driver import initial_mesh
 from mpdwr.fespace import Solution, build_space, quadrature, solution_values
 from mpdwr.mesh import (
     Mesh,
+    affine_det,
+    affine_maps,
     bisect_marked,
     check_conforming,
     edge_ids_of,
@@ -23,8 +25,10 @@ from mpdwr.mesh import (
     min_element_volume,
     prolong,
     save_mesh_text,
+    signed_areas,
     unit_square_template,
 )
+from mpdwr.scalar import round_to
 
 
 def two_triangle_square(diagonal_tags=True):
@@ -157,6 +161,25 @@ def test_generation_tracking():
     out = bisect_marked(m, [0])
     assert out.generation.max() >= 1
     assert out.generation.min() == 0
+
+
+@pytest.mark.parametrize("prec", ["half", "single", "double"])
+def test_affine_maps_are_vertex_differences(prec):
+    # per coordinate: a, b - a and c - a at the vertices' dtype; the
+    # determinant is twice the signed area, 2 * 4/ne on the template meshes
+    m = bisect_marked(initial_mesh(2), np.arange(0, 1024, 7))
+    v = round_to(m.vertices, prec)
+    maps = affine_maps(v, m.elements)
+    for i, (a, ba, ca) in enumerate(maps):
+        x = v[:, i][m.elements]
+        assert a.dtype == v.dtype and a.flags.c_contiguous
+        assert np.array_equal(a, x[:, 0])
+        assert np.array_equal(ba, x[:, 1] - x[:, 0]) and np.array_equal(ca, x[:, 2] - x[:, 0])
+    det = affine_det(maps)
+    assert det.dtype == v.dtype
+    assert np.array_equal(det, 2 * signed_areas(m))
+    t = initial_mesh(3)
+    assert (affine_det(affine_maps(t.vertices, t.elements)) == 8.0 / t.n_elements).all()
 
 
 def test_diameters_bound_edges():
