@@ -36,8 +36,9 @@ def _element_geometry(space: FESpace):
 
 
 def _to_csr(space: FESpace, local: np.ndarray):
-    """Scatter (ne, nloc, nloc) local blocks into global CSR."""
-    dof = space.element_dof_map
+    """Scatter (ne, nloc, nloc) local blocks into global CSR.  The COO
+    indices are formed at the width scipy keeps (int32 below 2**31 DoFs)."""
+    dof = space.element_dof_map.astype(np.int32 if space.n_dofs < 2**31 else np.int64)
     nloc = dof.shape[1]
     rows = np.repeat(dof, nloc, axis=1).ravel()
     cols = np.tile(dof, (1, nloc)).ravel()
@@ -91,35 +92,53 @@ def assemble_load(space: FESpace, f, exactness: int = ASSEMBLY_DEGREE):
     return _load(space, f, exactness)
 
 
-def _load(space: FESpace, f, exactness):
-    """The load routine behind assemble_load and assemble_functional; a
-    private call, so a traced run files each one's work under its own name."""
+def _load(space: FESpace, f, exactness, elements=slice(None)):
+    """The load routine behind assemble_load and assemble_functional, over
+    the given elements (all by default); a private call, so a traced run
+    files each one's work under its own name."""
     p = space.precision
     rule = quadrature(exactness)
     a, J, det, _ = _element_geometry(space)
+    a, J, det = a[elements], J[elements], det[elements]
     phi = round_to(basis_values(space.degree, rule.points), p)
     w = round_to(rule.weights, p)
     ref = round_to(rule.points[:, 1:], p)
 
-    ne = space.mesh.n_elements
-    local = np.zeros((ne, space.ndof_local), dtype=p.dtype)
+    local = np.zeros((det.shape[0], space.ndof_local), dtype=p.dtype)
     for q in range(rule.points.shape[0]):
         x = a + _contract(J, ref[q])
         fq = round_to(np.asarray(f(x[:, 0], x[:, 1])), p)
         local += ((w[q] * det) * fq)[:, None] * phi[q][None, :]
 
     F = np.zeros(space.n_dofs, dtype=p.dtype)
-    np.add.at(F, space.element_dof_map.ravel(), local.ravel())
+    np.add.at(F, space.element_dof_map[elements].ravel(), local.ravel())
     return round_to(F, p)
+
+
+def _elements_near(space: FESpace, region):
+    """Elements whose vertex bounding box meets the closed region, widened
+    by 4 eps_p max|x|: the quadrature points at p are rounded from points
+    inside the element by less than that."""
+    m = space.mesh
+    margin = 4 * space.precision.eps * np.abs(m.vertices).max()
+    near = np.ones(m.n_elements, dtype=bool)
+    for i, (lo, hi) in enumerate((region[:2], region[2:])):
+        x = m.vertices[:, i]
+        for side in (x >= lo - margin, x <= hi + margin):  # some vertex on that side
+            s = side[m.elements]
+            near &= s[:, 0] | s[:, 1] | s[:, 2]
+    return np.flatnonzero(near)
 
 
 def assemble_functional(space: FESpace, functional):
     """J_i = |Omega_J|^-1 int_{Omega_J} phi_i: the degree-8 load of the
-    region's characteristic function (points outside contribute zero),
-    scaled by the inverse area at space precision."""
+    region's characteristic function, scaled by the inverse area at space
+    precision.  Only elements near the region are integrated: the others'
+    points all lie outside and would contribute exact zeros."""
     p = space.precision
     inv_area = round_to(1.0 / functional.area, p)
-    return round_to(inv_area * _load(space, functional.contains, EVALUATION_DEGREE), p)
+    near = _elements_near(space, functional.region)
+    return round_to(inv_area * _load(space, functional.contains, EVALUATION_DEGREE, near), p)
 
 
 def apply_dirichlet(A, rhs, bdofs):
@@ -135,14 +154,22 @@ def apply_dirichlet(A, rhs, bdofs):
         raise IndexError("boundary dof out of range")
     bmask = np.zeros(n, dtype=bool)
     bmask[bdofs] = True
+    bdofs = np.flatnonzero(bmask)
 
-    coo = A.tocoo()
-    keep = ~(bmask[coo.row] | bmask[coo.col])
-    rows = np.concatenate([coo.row[keep], bdofs])
-    cols = np.concatenate([coo.col[keep], bdofs])
-    vals = np.concatenate([coo.data[keep], np.ones(bdofs.size, dtype=A.dtype)])
-    A2 = sparse.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
-    A2.sum_duplicates()
+    A = A.tocsr()
+    A.sum_duplicates()  # canonical: sorted columns, no duplicates
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    keep = ~(bmask[rows] | bmask[A.indices])
+    counts = np.bincount(rows[keep], minlength=n)
+    counts[bdofs] = 1
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    diag = np.zeros(indptr[-1], dtype=bool)
+    diag[indptr[bdofs]] = True  # an emptied boundary row holds its diagonal only
+    indices = np.empty(indptr[-1], dtype=A.indices.dtype)
+    data = np.empty(indptr[-1], dtype=A.dtype)
+    indices[diag], data[diag] = bdofs, 1
+    indices[~diag], data[~diag] = A.indices[keep], A.data[keep]
+    A2 = sparse.csr_matrix((data, indices, indptr), shape=A.shape)
 
     rhs2 = rhs.copy()
     rhs2[bdofs] = 0

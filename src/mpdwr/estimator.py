@@ -19,13 +19,14 @@ from .fespace import (
     ASSEMBLY_DEGREE,
     EVALUATION_DEGREE,
     Solution,
+    _gradient_columns,
+    _quad_columns,
+    _value_columns,
     basis_gradients,
     basis_values,
     element_transforms,
-    quad_points_physical,
     quadrature,
     solution_gradients,
-    solution_values,
 )
 from .scalar import round_to
 
@@ -41,11 +42,12 @@ class IndicatorField:
 
 def _element_mean_f(u: Solution, f):
     """Element averages of f with the assembly rule, and element areas."""
-    rule = quadrature(ASSEMBLY_DEGREE)
-    pts, wdet = quad_points_physical(u.space.mesh, rule)
-    fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=np.float64)
-    areas = wdet.sum(axis=1)
-    return (wdet * fvals).sum(axis=1) / areas, areas
+    ne = u.space.mesh.n_elements
+    integral, areas = np.zeros(ne), np.zeros(ne)
+    for x, y, wdet in _quad_columns(u.space.mesh, quadrature(ASSEMBLY_DEGREE)):
+        integral += wdet * np.asarray(f(x, y), dtype=np.float64)
+        areas += wdet
+    return integral / areas, areas
 
 
 def residual_indicator(u_h: Solution, f) -> IndicatorField:
@@ -144,34 +146,32 @@ def estimate_Je(u_h: Solution, w: Solution, f) -> float:
     """
     _check_same_mesh(u_h.space.mesh, w.space.mesh)
     rule = quadrature(EVALUATION_DEGREE)
-    pts, wdet = quad_points_physical(u_h.space.mesh, rule)
-    fv = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=np.float64)
-    load_term = np.sum(wdet * fv * solution_values(w, rule))
-    gu = solution_gradients(u_h, rule)
-    gw = solution_gradients(w, rule)
-    energy_term = np.sum(wdet * (gu * gw).sum(axis=2))
-    return float(load_term - energy_term)
-
-
-def _weights_det(m: meshmod.Mesh, rule):
-    """weights*detJ (ne, nq), without the physical points."""
-    return rule.weights[None, :] * meshmod.affine_det(meshmod.affine_maps(m.vertices, m.elements))[:, None]
+    ne = u_h.space.mesh.n_elements
+    load, energy = np.zeros(ne), np.zeros(ne)
+    points = zip(_quad_columns(u_h.space.mesh, rule), _value_columns(w, rule),
+                 _gradient_columns(u_h, rule), _gradient_columns(w, rule))
+    for (x, y, wdet), wv, (gux, guy), (gwx, gwy) in points:
+        load += wdet * np.asarray(f(x, y), dtype=np.float64) * wv
+        energy += wdet * (gux * gwx + guy * gwy)
+    return float(np.sum(load) - np.sum(energy))
 
 
 def element_l2_norms(w: Solution) -> np.ndarray:
     """||w||_{L2(K)} per element, in double."""
     rule = quadrature(ASSEMBLY_DEGREE)
-    wdet = _weights_det(w.space.mesh, rule)
-    vals = solution_values(w, rule)
-    return np.sqrt(np.sum(wdet * vals**2, axis=1))
+    out = np.zeros(w.space.mesh.n_elements)
+    for (_, _, wdet), v in zip(_quad_columns(w.space.mesh, rule), _value_columns(w, rule)):
+        out += wdet * v**2
+    return np.sqrt(out)
 
 
 def element_h1_seminorms(w: Solution) -> np.ndarray:
     """||grad w||_{L2(K)} per element, in double."""
     rule = quadrature(ASSEMBLY_DEGREE)
-    wdet = _weights_det(w.space.mesh, rule)
-    g = solution_gradients(w, rule)
-    return np.sqrt(np.sum(wdet * (g**2).sum(axis=2), axis=1))
+    out = np.zeros(w.space.mesh.n_elements)
+    for (_, _, wdet), (gx, gy) in zip(_quad_columns(w.space.mesh, rule), _gradient_columns(w, rule)):
+        out += wdet * (gx**2 + gy**2)
+    return np.sqrt(out)
 
 
 def dwr_indicator(res: IndicatorField, w: Solution, weight: str = "value") -> IndicatorField:

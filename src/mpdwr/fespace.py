@@ -232,22 +232,31 @@ def element_transforms(m: meshmod.Mesh, p=DOUBLE):
     return np.stack([ax, ay], axis=1), J, det, invJT
 
 
-def quad_points_physical(m: meshmod.Mesh, rule: QuadratureRule):
-    """Physical quadrature points (ne, nq, 2) and weights*detJ (ne, nq): point
-    q is a + (b-a) r0 + (c-a) r1 at reference point (r0, r1), per coordinate."""
-    ref = rule.points[:, 1:]  # (nq, 2) reference coordinates
+def _quad_columns(m: meshmod.Mesh, rule: QuadratureRule):
+    """For each quadrature point in turn, (x, y, w_q*detJ) as (ne,) arrays:
+    point q is a + (b-a) r0 + (c-a) r1 at reference point (r0, r1), per
+    coordinate.  Every quadrature pass streams these columns, so none holds
+    an (ne, nq) array."""
     maps = meshmod.affine_maps(m.vertices, m.elements)
-    ne, nq = m.n_elements, ref.shape[0]
-    pts = np.empty((ne, nq, 2))
-    x = np.empty((nq, ne))
-    for i, (a, d1, d2) in enumerate(maps):
-        for q, (r0, r1) in enumerate(ref):
-            np.multiply(d1, r0, out=x[q])
-            x[q] += d2 * r1
-            x[q] += a
-        pts[:, :, i] = x.T
-    del x  # as large as weights*det: free it first
-    return pts, rule.weights[None, :] * meshmod.affine_det(maps)[:, None]
+    det = meshmod.affine_det(maps)
+    for (r0, r1), w in zip(rule.points[:, 1:], rule.weights):
+        xy = []
+        for a, d1, d2 in maps:
+            x = d1 * r0
+            x += d2 * r1
+            x += a
+            xy.append(x)
+        yield xy[0], xy[1], w * det
+
+
+def quad_points_physical(m: meshmod.Mesh, rule: QuadratureRule):
+    """Physical quadrature points (ne, nq, 2) and weights*detJ (ne, nq),
+    the columns of _quad_columns side by side."""
+    ne, nq = m.n_elements, rule.weights.shape[0]
+    pts, wdet = np.empty((ne, nq, 2)), np.empty((ne, nq))
+    for q, (x, y, wd) in enumerate(_quad_columns(m, rule)):
+        pts[:, q, 0], pts[:, q, 1], wdet[:, q] = x, y, wd
+    return pts, wdet
 
 
 def solution_values(u: Solution, rule: QuadratureRule) -> np.ndarray:
@@ -257,44 +266,70 @@ def solution_values(u: Solution, rule: QuadratureRule) -> np.ndarray:
     return local @ phi.T
 
 
-def solution_gradients(u: Solution, rule: QuadratureRule) -> np.ndarray:
-    """grad u at quadrature points, in double; (ne, nq, 2).
+def _value_columns(u: Solution, rule: QuadratureRule):
+    """u at each quadrature point in turn, in double, as (ne,) arrays with
+    the bytes of solution_values' columns (for rules of two or more
+    points).  Each is row 0 of a two-row product: numpy hands a one-row
+    product to BLAS gemv, which rounds differently from gemm."""
+    phi = basis_values(u.space.degree, rule.points)
+    localT = u.coefficients.astype(np.float64)[u.space.element_dof_map].T  # (nloc, ne)
+    for q in range(phi.shape[0]):
+        yield (phi[[q, q]] @ localT)[0]
 
-    Sums over the local basis functions in order, starting from zero.
-    """
-    _, _, _, invJT = element_transforms(u.space.mesh)
+
+def _gradient_columns(u: Solution, rule: QuadratureRule):
+    """grad u at each quadrature point in turn, in double, as (ne,) arrays
+    (d/dx, d/dy).  Sums over the local basis functions in order, starting
+    from zero."""
+    invJT = element_transforms(u.space.mesh)[3]
     gref = basis_gradients(u.space.degree, rule.points)  # (nq, nloc, 2)
     local = u.coefficients.astype(np.float64)[u.space.element_dof_map]
-    out = np.zeros((local.shape[0], gref.shape[0], 2))
     for q in range(gref.shape[0]):
-        if q > 0 and np.array_equal(gref[q], gref[q - 1]):
-            out[:, q] = out[:, q - 1]  # constant gradients (P1)
-            continue
-        for i, (g0, g1) in enumerate(gref[q]):
-            gphys = invJT[:, :, 0] * g0 + invJT[:, :, 1] * g1  # (ne, 2)
-            gphys *= local[:, i, None]
-            out[:, q] += gphys
+        if q == 0 or not np.array_equal(gref[q], gref[q - 1]):  # else P1's constant gradients
+            grad = [np.zeros(local.shape[0]) for _ in range(2)]
+            for i, (g0, g1) in enumerate(gref[q]):
+                for k in range(2):
+                    t = invJT[:, k, 0] * g0 + invJT[:, k, 1] * g1
+                    t *= local[:, i]
+                    grad[k] += t
+        yield grad[0], grad[1]
+
+
+def solution_gradients(u: Solution, rule: QuadratureRule) -> np.ndarray:
+    """grad u at quadrature points, in double; (ne, nq, 2): the columns
+    of _gradient_columns side by side."""
+    out = np.empty((u.space.mesh.n_elements, rule.weights.shape[0], 2))
+    for q, (gx, gy) in enumerate(_gradient_columns(u, rule)):
+        out[:, q, 0], out[:, q, 1] = gx, gy
     return out
 
 
-def _evaluation_pass(u: Solution, exact):
-    """One degree-8 evaluation of exact and u on u's mesh, in double.
+def _evaluation_pass(u: Solution, exact, region=None):
+    """One degree-8 evaluation of exact and u on u's mesh, in double, one
+    quadrature point at a time.
 
-    Returns (points, weights*detJ, exact values, u values, L2 error of
-    exact - u); l2_error and problems.functional_error share it, so an
-    adaptive iteration evaluates the exact solution once.
+    Returns the L2 error of exact - u and, for a region indicator
+    region(x, y), the integrals of exact and of u over the region (else
+    zeros); l2_error and problems.functional_error share it, so an adaptive
+    iteration evaluates the exact solution once.  Each sum runs over the
+    points of an element in order, then over the elements.
     """
     rule = quadrature(EVALUATION_DEGREE)
-    pts, wdet = quad_points_physical(u.space.mesh, rule)
-    exact_vals = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=np.float64)
-    u_vals = solution_values(u, rule)
-    l2 = float(np.sqrt(np.sum(wdet * (exact_vals - u_vals) ** 2)))
-    return pts, wdet, exact_vals, u_vals, l2
+    ne = u.space.mesh.n_elements
+    err2, int_exact, int_u = np.zeros(ne), np.zeros(ne), np.zeros(ne)
+    for (x, y, wdet), u_vals in zip(_quad_columns(u.space.mesh, rule), _value_columns(u, rule)):
+        exact_vals = np.asarray(exact(x, y), dtype=np.float64)
+        err2 += wdet * (exact_vals - u_vals) ** 2
+        if region is not None:
+            weights = wdet * region(x, y)
+            int_exact += weights * exact_vals
+            int_u += weights * u_vals
+    return float(np.sqrt(np.sum(err2))), np.sum(int_exact), np.sum(int_u)
 
 
 def l2_error(u: Solution, exact) -> float:
     """Elementwise degree-8 L2 norm of (exact - u), computed in double."""
-    return _evaluation_pass(u, exact)[4]
+    return _evaluation_pass(u, exact)[0]
 
 
 def save_solution_text(u: Solution, path):

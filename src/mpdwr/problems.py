@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fespace import EVALUATION_DEGREE, Solution, _evaluation_pass, quad_points_physical, quadrature, solution_values
+from .fespace import EVALUATION_DEGREE, Solution, _evaluation_pass, _quad_columns, _value_columns, quadrature
 
 # below this |y|, 1 - y^-4 < log(smallest normal double) and exp underflows
 _Y_CUTOFF = 0.19
@@ -212,39 +212,31 @@ def get_functional(name: str) -> Functional:
         raise ValueError(f"unknown functional {name!r}; expected one of {sorted(_FUNCTIONALS)}")
 
 
-def _region_weights(functional: Functional, pts, wdet):
-    """Quadrature weights masked to the region."""
-    return wdet * functional.contains(pts[..., 0], pts[..., 1])
-
-
 def eval_functional(functional: Functional, u, mesh=None) -> float:
     """Region average of u by degree-8 characteristic quadrature, in double.
 
     u is either a Solution (its mesh is used) or a callable field, in which
     case a mesh must be supplied.  Diagnostic arithmetic always runs in
-    double regardless of a Solution's storage precision.
+    double regardless of a Solution's storage precision.  The sums run as
+    in _goal_and_l2_errors, so J(e) is the difference of two calls.
     """
     if isinstance(u, Solution):
         mesh = u.space.mesh
     elif mesh is None:
         raise ValueError("a mesh is required to evaluate a plain field")
     rule = quadrature(EVALUATION_DEGREE)
-    pts, wdet = quad_points_physical(mesh, rule)
-    weights = _region_weights(functional, pts, wdet)
-    if isinstance(u, Solution):
-        vals = solution_values(u, rule)
-    else:
-        vals = np.asarray(u(pts[..., 0], pts[..., 1]), dtype=np.float64)
-    return float(np.sum(weights * vals) / functional.area)
+    values = _value_columns(u, rule) if isinstance(u, Solution) else None
+    integral = np.zeros(mesh.n_elements)
+    for x, y, wdet in _quad_columns(mesh, rule):
+        vals = next(values) if values else np.asarray(u(x, y), dtype=np.float64)
+        integral += (wdet * functional.contains(x, y)) * vals
+    return float(np.sum(integral) / functional.area)
 
 
 def _goal_and_l2_errors(functional: Functional, u_exact, u_h: Solution):
     """(J(e), L2 error of u_h) from one degree-8 evaluation of u_exact and u_h."""
-    pts, wdet, exact_vals, uh_vals, l2 = _evaluation_pass(u_h, u_exact)
-    weights = _region_weights(functional, pts, wdet)
-    j_exact = float(np.sum(weights * exact_vals) / functional.area)
-    j_h = float(np.sum(weights * uh_vals) / functional.area)
-    return j_exact - j_h, l2
+    l2, int_exact, int_h = _evaluation_pass(u_h, u_exact, functional.contains)
+    return float(int_exact / functional.area) - float(int_h / functional.area), l2
 
 
 def functional_error(functional: Functional, u_exact, u_h: Solution) -> float:

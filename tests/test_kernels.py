@@ -5,7 +5,9 @@ matmul and ``np.unique(axis=0)`` formulations the kernels replace, plus
 frozen copies of the per-precision Jacobian code and of the orthogonality
 probe from before the geometry moved into ``fespace.element_transforms``,
 and of the areas, element norms and degree-2 node coordinates from before
-they moved onto ``mesh.affine_maps`` and ``mesh.prolong``.
+they moved onto ``mesh.affine_maps`` and ``mesh.prolong``, and of the
+(elements x points) evaluation passes, the int64 COO scatter and the COO
+Dirichlet elimination from before the passes streamed quadrature points.
 Every kernel must reproduce their bytes exactly, at every precision, on the
 dyadic meshes this code makes (template plus midpoint bisection), so that
 adaptive runs keep producing the same meshes and the same error trails.
@@ -18,6 +20,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
 from mpdwr import assembly
@@ -34,11 +37,10 @@ from mpdwr.fespace import (
     quad_points_physical,
     quadrature,
     solution_gradients,
-    solution_values,
 )
-from mpdwr.estimator import element_h1_seminorms, element_l2_norms, galerkin_probe
+from mpdwr.estimator import _element_mean_f, element_h1_seminorms, element_l2_norms, estimate_Je, galerkin_probe
 from mpdwr.mesh import bisect_marked, edge_table, min_element_volume, signed_areas
-from mpdwr.problems import eval_functional, functional_error, get_functional, get_problem
+from mpdwr.problems import Functional, _goal_and_l2_errors, eval_functional, functional_error, get_functional, get_problem
 from mpdwr.scalar import round_to
 
 
@@ -130,12 +132,84 @@ def ref_det(mesh):
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
 
+def ref_values(u, rule):
+    phi = basis_values(u.space.degree, rule.points)
+    return u.coefficients.astype(np.float64)[u.space.element_dof_map] @ phi.T
+
+
+def ref_gradients(u, rule):
+    _, _, _, invJT = element_transforms(u.space.mesh)
+    gref = basis_gradients(u.space.degree, rule.points)
+    local = u.coefficients.astype(np.float64)[u.space.element_dof_map]
+    out = np.zeros((local.shape[0], gref.shape[0], 2))
+    for q in range(gref.shape[0]):
+        if q > 0 and np.array_equal(gref[q], gref[q - 1]):
+            out[:, q] = out[:, q - 1]
+            continue
+        for i, (g0, g1) in enumerate(gref[q]):
+            gphys = invJT[:, :, 0] * g0 + invJT[:, :, 1] * g1
+            gphys *= local[:, i, None]
+            out[:, q] += gphys
+    return out
+
+
 def ref_element_norms(w):
     rule = quadrature(ASSEMBLY_DEGREE)
     wdet = rule.weights[None, :] * ref_det(w.space.mesh)[:, None]
-    vals = solution_values(w, rule)
-    grads = solution_gradients(w, rule)
+    vals = ref_values(w, rule)
+    grads = ref_gradients(w, rule)
     return np.sqrt(np.sum(wdet * vals**2, axis=1)), np.sqrt(np.sum(wdet * (grads**2).sum(axis=2), axis=1))
+
+
+def ref_element_mean_f(m, f):
+    pts, wdet = ref_quad_points(m, quadrature(ASSEMBLY_DEGREE))
+    fvals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=np.float64)
+    areas = wdet.sum(axis=1)
+    return (wdet * fvals).sum(axis=1) / areas, areas
+
+
+def ref_goal_and_l2(functional, exact, u):
+    rule = quadrature(EVALUATION_DEGREE)
+    pts, wdet = ref_quad_points(u.space.mesh, rule)
+    exact_vals = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=np.float64)
+    u_vals = ref_values(u, rule)
+    l2 = float(np.sqrt(np.sum(wdet * (exact_vals - u_vals) ** 2)))
+    weights = wdet * functional.contains(pts[..., 0], pts[..., 1])
+    je = float(np.sum(weights * exact_vals) / functional.area) - float(np.sum(weights * u_vals) / functional.area)
+    return je, l2
+
+
+def ref_estimate_je(u_h, w, f):
+    rule = quadrature(EVALUATION_DEGREE)
+    pts, wdet = ref_quad_points(u_h.space.mesh, rule)
+    load = np.sum(wdet * f(pts[..., 0], pts[..., 1]) * ref_values(w, rule))
+    energy = np.sum(wdet * (ref_gradients(u_h, rule) * ref_gradients(w, rule)).sum(axis=2))
+    return load, energy
+
+
+def ref_to_csr(space, local):
+    dof = space.element_dof_map
+    nloc = dof.shape[1]
+    rows = np.repeat(dof, nloc, axis=1).ravel()
+    cols = np.tile(dof, (1, nloc)).ravel()
+    A = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
+    A.sum_duplicates()
+    return A
+
+
+def ref_apply_dirichlet(A, rhs, bdofs):
+    bmask = np.zeros(A.shape[0], dtype=bool)
+    bmask[bdofs] = True
+    coo = A.tocoo()
+    keep = ~(bmask[coo.row] | bmask[coo.col])
+    rows = np.concatenate([coo.row[keep], bdofs])
+    cols = np.concatenate([coo.col[keep], bdofs])
+    vals = np.concatenate([coo.data[keep], np.ones(bdofs.size, dtype=A.dtype)])
+    A2 = sparse.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
+    A2.sum_duplicates()
+    rhs2 = rhs.copy()
+    rhs2[bdofs] = 0
+    return A2, rhs2
 
 
 def ref_p2_dof_coords(mesh):
@@ -162,7 +236,7 @@ def ref_stiffness(space):
         g = np.einsum("eab,ib->eia", invJT, gref[q])
         contrib = np.einsum("eia,eja->eij", g, g)
         local += (w[q] * det)[:, None, None] * contrib
-    return assembly._to_csr(space, round_to(local, p).astype(p.sparse_dtype))
+    return ref_to_csr(space, round_to(local, p).astype(p.sparse_dtype))
 
 
 def ref_load_and_functional(space, f, functional):
@@ -193,7 +267,7 @@ def same_bytes(x, y):
 
 
 def same_csr(A, B):
-    return all(same_bytes(getattr(A, k), getattr(B, k)) for k in ("indptr", "indices", "data"))
+    return A.shape == B.shape and all(same_bytes(getattr(A, k), getattr(B, k)) for k in ("indptr", "indices", "data"))
 
 
 def random_bisections(seed, rounds):
@@ -229,13 +303,29 @@ def check_mesh_kernels(m, seed=0):
 
 def check_mesh_geometry(m):
     """The areas, element norms and P2 node coordinates against their
-    formulations from before the shared affine-map kernel."""
+    formulations from before the shared affine-map kernel, and the streamed
+    evaluation passes against their (elements x points) formulations: equal
+    bytes for the element-wise sums of the assembly rule, within 1e-14 for
+    the sums over the whole mesh, whose order changed."""
     assert same_bytes(signed_areas(m), 0.5 * ref_det(m))
     assert same_bytes(build_space(m, 2, "double").dof_coords, ref_p2_dof_coords(m))
+    for prob in (get_problem("e2"), get_problem("e3")):
+        u = random_solution(m, 1, 0)
+        for got, want in zip(_element_mean_f(u, prob.f), ref_element_mean_f(m, prob.f)):
+            assert same_bytes(got, want), prob.name
     for degree in (1, 2):
         w = random_solution(m, degree, 0)
         for got, want in zip((element_l2_norms(w), element_h1_seminorms(w)), ref_element_norms(w)):
             assert same_bytes(got, want), degree
+    prob = get_problem("e3")
+    for degree in (1, 2):
+        u = random_solution(m, degree, 1)
+        for functional in (get_functional("j2"), get_functional("j3")):
+            (je, l2), (ref_je, ref_l2) = _goal_and_l2_errors(functional, prob.u_exact, u), ref_goal_and_l2(functional, prob.u_exact, u)
+            assert abs(je - ref_je) <= 1e-14 and abs(l2 - ref_l2) <= 1e-14 * ref_l2, (degree, functional.name)
+        w = random_solution(m, degree, 2)
+        load, energy = ref_estimate_je(u, w, prob.f)
+        assert abs(estimate_Je(u, w, prob.f) - (load - energy)) <= 1e-14 * (abs(load) + abs(energy)), degree
 
 
 def jittered(m, seed=0):
@@ -277,7 +367,12 @@ def check_assembly(m):
     for degree in (1, 2):
         for prec in ("half", "single", "double"):
             space = build_space(m, degree, prec)
-            assert same_csr(assembly.assemble_stiffness(space), ref_stiffness(space)), (degree, prec)
+            A = assembly.assemble_stiffness(space)
+            assert same_csr(A, ref_stiffness(space)), (degree, prec)
+            rhs = np.arange(space.n_dofs, dtype=space.precision.dtype)
+            for got, want in zip(assembly.apply_dirichlet(A, rhs, space.boundary_dofs),
+                                 ref_apply_dirichlet(A, rhs, space.boundary_dofs)):
+                assert same_csr(got, want) if sparse.issparse(want) else same_bytes(got, want), (degree, prec)
             load, func = ref_load_and_functional(space, f, functional)
             assert same_bytes(assembly.assemble_load(space, f), load), (degree, prec)
             assert same_bytes(assembly.assemble_functional(space, functional), func), (degree, prec)
@@ -322,3 +417,25 @@ def test_functional_error_matches_two_evaluations(level4):
     want = eval_functional(func, prob.u_exact, level4) - eval_functional(func, u)
     assert functional_error(func, prob.u_exact, u) == want
 
+
+
+@pytest.mark.parametrize("region", [
+    (-0.5, 0.25, 0.0, 0.75),             # edges on vertex lines
+    (-1.0, -0.75, -1.0, 1.0),            # on the boundary
+    (0.25, 0.25 + 2.0**-12, -0.5, 0.5),  # thinner than any element, left edge on a vertex line
+    (-0.05, 0.05, 0.7, 1.0),             # edges off the vertices
+])
+def test_functional_integrates_only_elements_near_the_region(region):
+    """assemble_functional skips the elements away from the region and
+    still gives the bytes of the load over every element.  On the jittered
+    level-4 mesh, binary16 rounds vertices and points within 2**-12 of the
+    edges onto them, so elements just outside the region contribute."""
+    functional = Functional("r", region)
+    f = get_problem("e3").f
+    for m in (initial_mesh(3), random_bisections(7, 3), jittered(initial_mesh(4))):
+        for degree in (1, 2):
+            for prec in ("half", "single", "double"):
+                space = build_space(m, degree, prec)
+                _, want = ref_load_and_functional(space, f, functional)
+                assert same_bytes(assembly.assemble_functional(space, functional), want), (degree, prec)
+        assert assembly._elements_near(build_space(m, 1, "double"), region).size < m.n_elements / 2

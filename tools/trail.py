@@ -19,10 +19,13 @@ lists, in order:
 * the workload's own trail (``workloads.<Workload>.trail``);
 * every PCG solve in call order: precision, size and iterations.
 
-``--compare`` prints the first entry that differs and exits with 1, or
-exits with 0 when the trails are identical.  The bits depend on the numpy
-and BLAS build, so the file records the versions, and no test compares
-against a committed trail.  BLAS is pinned to one thread, as in
+``--compare`` prints "identical" and exits with 0 only when the trails
+are equal entry for entry.  Otherwise it prints the first entry whose
+non-float fields differ (DoFs, elements, precisions, PCG sizes and
+iterations, flags, switch point, digests), or "identical except floats"
+when there is none, then the largest difference of each float field, and
+exits with 1.  The bits depend on the numpy and BLAS build, so the file
+records the versions, and no test compares against a committed trail.  BLAS is pinned to one thread, as in
 ``benchmarks/run.py``.
 """
 
@@ -35,12 +38,14 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+FLOAT_HEX = re.compile(r"-?0x[01](\.[0-9a-f]*)?p[-+]\d+|-?inf|nan")  # float.hex() output
 RECORD_FIELDS = (
     "n_dofs", "n_elements", "je", "l2", "eta_res_total", "eta_dwr_total",
     "min_volume", "primal_residual", "primal_precision", "dual_precision",
@@ -108,24 +113,56 @@ def dump(workload, seed, checkout) -> dict:
     }
 
 
+def _split(value, path=""):
+    """(value with every hex float replaced by None, {path: float})."""
+    if isinstance(value, dict):
+        parts = {k: _split(v, f"{path}.{k}") for k, v in value.items()}
+        return {k: s for k, (s, _) in parts.items()}, {p: f for _, fs in parts.values() for p, f in fs.items()}
+    if isinstance(value, list):
+        parts = [_split(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [s for s, _ in parts], {p: f for _, fs in parts for p, f in fs.items()}
+    if isinstance(value, str) and FLOAT_HEX.fullmatch(value):
+        return None, {path: float.fromhex(value)}
+    return value, {}
+
+
 def compare(path_a, path_b) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
     for key in ("workload", "seed", "python", "numpy", "scipy"):
         if a.get(key) != b.get(key):
             print(f"note: {key} differs: {a.get(key)!r} vs {b.get(key)!r}")
     ea, eb = a["entries"], b["entries"]
+    if ea == eb:
+        print(f"identical: {len(ea)} entries")
+        return 0
+    first = None
+    worst = {}  # float field (entry kind and path) -> (max abs diff, max rel diff, entry)
     for i, (x, y) in enumerate(zip(ea, eb)):
-        if x != y:
-            print(f"first difference at entry {i} of {len(ea)} / {len(eb)}:")
-            print(f"  {path_a}: {json.dumps(x)}")
-            print(f"  {path_b}: {json.dumps(y)}")
-            return 1
-    if len(ea) != len(eb):
-        print(f"trails agree on the first {min(len(ea), len(eb))} entries, "
-              f"then one ends: {len(ea)} vs {len(eb)} entries")
-        return 1
-    print(f"identical: {len(ea)} entries")
-    return 0
+        (sx, fx), (sy, fy) = _split(x[1]), _split(y[1])
+        if x[0] != y[0] or sx != sy:
+            first = first if first is not None else i
+            continue
+        for path, u in fx.items():
+            v = fy[path]
+            if u == v or (u != u and v != v):
+                continue
+            diff = abs(u - v)
+            rel = diff / max(abs(u), abs(v))
+            key = f"{x[0]}{path}"
+            if key not in worst or rel > worst[key][1]:
+                worst[key] = (diff, rel, i)
+    if first is not None:
+        print(f"first non-float difference at entry {first} of {len(ea)} / {len(eb)}:")
+        print(f"  {path_a}: {json.dumps(ea[first])}")
+        print(f"  {path_b}: {json.dumps(eb[first])}")
+    elif len(ea) != len(eb):
+        print(f"trails agree in their non-float fields on the first {min(len(ea), len(eb))} "
+              f"entries, then one ends: {len(ea)} vs {len(eb)} entries")
+    head = "identical except floats" if first is None and len(ea) == len(eb) else "floats"
+    print(f"{head}, max rel diff {max((w[1] for w in worst.values()), default=0.0):.3g}")
+    for key, (diff, rel, i) in sorted(worst.items()):
+        print(f"  {key:<40} max abs diff {diff:.3g}  rel {rel:.3g}  (entry {i})")
+    return 1
 
 
 def main(argv=None) -> int:
