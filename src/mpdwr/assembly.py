@@ -154,22 +154,14 @@ def apply_dirichlet(A, rhs, bdofs):
         raise IndexError("boundary dof out of range")
     bmask = np.zeros(n, dtype=bool)
     bmask[bdofs] = True
-    bdofs = np.flatnonzero(bmask)
 
-    A = A.tocsr()
-    A.sum_duplicates()  # canonical: sorted columns, no duplicates
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    keep = ~(bmask[rows] | bmask[A.indices])
-    counts = np.bincount(rows[keep], minlength=n)
-    counts[bdofs] = 1
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    diag = np.zeros(indptr[-1], dtype=bool)
-    diag[indptr[bdofs]] = True  # an emptied boundary row holds its diagonal only
-    indices = np.empty(indptr[-1], dtype=A.indices.dtype)
-    data = np.empty(indptr[-1], dtype=A.dtype)
-    indices[diag], data[diag] = bdofs, 1
-    indices[~diag], data[~diag] = A.indices[keep], A.data[keep]
-    A2 = sparse.csr_matrix((data, indices, indptr), shape=A.shape)
+    coo = A.tocoo()
+    keep = ~(bmask[coo.row] | bmask[coo.col])
+    rows = np.concatenate([coo.row[keep], bdofs])
+    cols = np.concatenate([coo.col[keep], bdofs])
+    vals = np.concatenate([coo.data[keep], np.ones(bdofs.size, dtype=A.dtype)])
+    A2 = sparse.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
+    A2.sum_duplicates()
 
     rhs2 = rhs.copy()
     rhs2[bdofs] = 0

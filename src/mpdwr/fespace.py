@@ -259,22 +259,24 @@ def quad_points_physical(m: meshmod.Mesh, rule: QuadratureRule):
     return pts, wdet
 
 
-def solution_values(u: Solution, rule: QuadratureRule) -> np.ndarray:
-    """u at the quadrature points of every element, in double; (ne, nq)."""
-    phi = basis_values(u.space.degree, rule.points)  # (nq, nloc)
-    local = u.coefficients.astype(np.float64)[u.space.element_dof_map]  # (ne, nloc)
-    return local @ phi.T
-
-
 def _value_columns(u: Solution, rule: QuadratureRule):
-    """u at each quadrature point in turn, in double, as (ne,) arrays with
-    the bytes of solution_values' columns (for rules of two or more
-    points).  Each is row 0 of a two-row product: numpy hands a one-row
-    product to BLAS gemv, which rounds differently from gemm."""
+    """u at each quadrature point in turn, in double, as (ne,) arrays.
+    Each is row 0 of a two-row product, so every rule gets the bytes of
+    the (ne, nloc) @ (nloc, nq) gemm: numpy hands a one-row product to
+    BLAS gemv, which rounds differently."""
     phi = basis_values(u.space.degree, rule.points)
     localT = u.coefficients.astype(np.float64)[u.space.element_dof_map].T  # (nloc, ne)
     for q in range(phi.shape[0]):
         yield (phi[[q, q]] @ localT)[0]
+
+
+def solution_values(u: Solution, rule: QuadratureRule) -> np.ndarray:
+    """u at the quadrature points of every element, in double; (ne, nq):
+    the columns of _value_columns side by side."""
+    out = np.empty((u.space.mesh.n_elements, rule.weights.shape[0]))
+    for q, vals in enumerate(_value_columns(u, rule)):
+        out[:, q] = vals
+    return out
 
 
 def _gradient_columns(u: Solution, rule: QuadratureRule):

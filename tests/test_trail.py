@@ -20,10 +20,10 @@ def write(path, entries):
     return path
 
 
-def entries(je=0.25, n_dofs=545, digest="ab12cd"):
+def entries(je=0.25, n_dofs=545, digest="ab12cd", post_l2=1e-3):
     return [
         ["record", {"n_dofs": n_dofs, "je": je.hex(), "primal_precision": "single"}],
-        ["history", {"flags": [], "final_mesh_sha256": digest}],
+        ["history", {"flags": [], "post_l2": post_l2 and post_l2.hex(), "final_mesh_sha256": digest}],
         ["workload_trail", [n_dofs, je.hex()]],
     ]
 
@@ -38,9 +38,15 @@ def test_compare_classifies_differences(tmp_path, capsys):
     assert out.startswith("identical except floats, max rel diff 8.88e-16")
     assert "record.je" in out and "workload_trail[1]" in out
 
-    for other in (entries(n_dofs=546), entries(digest="ab12ce")):  # a hex digest is not a float
-        assert trail.compare(a, write(tmp_path / "d.json", other)) == 1
-        assert capsys.readouterr().out.startswith("first non-float difference at entry")
+    no_post = write(tmp_path / "f.json", entries(post_l2=None))
+    for x, y, at in (
+        (a, write(tmp_path / "d.json", entries(n_dofs=546)), 0),
+        (a, write(tmp_path / "g.json", entries(digest="ab12ce")), 1),  # a hex digest is not a float
+        (a, no_post, 1),  # a float against null, either way round
+        (no_post, a, 1),
+    ):
+        assert trail.compare(x, y) == 1
+        assert capsys.readouterr().out.startswith(f"first non-float difference at entry {at}")
 
     assert trail.compare(a, write(tmp_path / "e.json", entries()[:2])) == 1
     assert "then one ends: 3 vs 2 entries" in capsys.readouterr().out

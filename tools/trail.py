@@ -113,8 +113,15 @@ def dump(workload, seed, checkout) -> dict:
     }
 
 
+FLOAT = ("float",)  # stands for a hex float in a skeleton; JSON holds no tuples
+
+
 def _split(value, path=""):
-    """(value with every hex float replaced by None, {path: float})."""
+    """(value with every hex float replaced by FLOAT, {path: float}).
+
+    Equal skeletons hold their floats at the same paths, so a float on one
+    side and a null or any other value on the other is a non-float
+    difference."""
     if isinstance(value, dict):
         parts = {k: _split(v, f"{path}.{k}") for k, v in value.items()}
         return {k: s for k, (s, _) in parts.items()}, {p: f for _, fs in parts.values() for p, f in fs.items()}
@@ -122,7 +129,7 @@ def _split(value, path=""):
         parts = [_split(v, f"{path}[{i}]") for i, v in enumerate(value)]
         return [s for s, _ in parts], {p: f for _, fs in parts for p, f in fs.items()}
     if isinstance(value, str) and FLOAT_HEX.fullmatch(value):
-        return None, {path: float.fromhex(value)}
+        return FLOAT, {path: float.fromhex(value)}
     return value, {}
 
 
