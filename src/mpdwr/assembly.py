@@ -18,21 +18,23 @@ from .fespace import (
     ASSEMBLY_DEGREE,
     EVALUATION_DEGREE,
     FESpace,
+    _affine_geometry,
+    _element_blocks,
+    _inverse_transpose,
     basis_gradients,
     basis_values,
-    element_transforms,
     quadrature,
 )
 from .scalar import HALF, round_to
 
 
-def _element_geometry(space: FESpace):
-    """Jacobian data at the space's precision: origins, J, detJ, inv(J)^T."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # det <= 0 raises below
-        a, J, det, invJT = element_transforms(space.mesh, space.precision)
+def _element_geometry(vertices, elements):
+    """Origins, J and detJ of the given elements, from the vertices rounded
+    to the space's precision; degenerate elements raise."""
+    a, J, det = _affine_geometry(vertices, elements)
     if np.any(det <= 0):
         raise ValueError("degenerate element: non-positive Jacobian determinant")
-    return a, J, det, invJT
+    return a, J, det
 
 
 def _to_csr(space: FESpace, local: np.ndarray):
@@ -66,25 +68,32 @@ def _contract(x, y):
 
 
 def assemble_stiffness(space: FESpace):
-    """A_ij = sum_K int_K grad(phi_j) . grad(phi_i), at space precision."""
+    """A_ij = sum_K int_K grad(phi_j) . grad(phi_i), at space precision.
+
+    The local matrices are formed one block of elements at a time and
+    stored at the sparse dtype for the scatter."""
     p = space.precision
     rule = quadrature(ASSEMBLY_DEGREE)
-    _, _, det, invJT = _element_geometry(space)
     gref = round_to(basis_gradients(space.degree, rule.points), p)
     w = round_to(rule.weights, p)
+    m, nloc = space.mesh, space.ndof_local
+    vertices = round_to(m.vertices, p)
 
-    ne = space.mesh.n_elements
-    nloc = space.ndof_local
-    local = np.zeros((ne, nloc, nloc), dtype=p.dtype)
-    contrib = None
-    for q in range(rule.points.shape[0]):
-        if contrib is None or not np.array_equal(gref[q], gref[q - 1]):
-            # physical gradients g[e, i, :] = inv(J)^T gref[q, i] and their
-            # pairwise dot products, each contraction rounded once to p
-            g = _contract(invJT[:, None, :, :], gref[q][None, :, None, :])  # (ne, nloc, 2)
-            contrib = _contract(g[:, :, None, :], g[:, None, :, :])         # (ne, nloc, nloc)
-        local += (w[q] * det)[:, None, None] * contrib
-    return _to_csr(space, round_to(local, p).astype(p.sparse_dtype))
+    local = np.empty((m.n_elements, nloc, nloc), dtype=p.sparse_dtype)
+    for block in _element_blocks(m.n_elements):
+        _, J, det = _element_geometry(vertices, m.elements[block])
+        invJT = _inverse_transpose(J, det)
+        acc = np.zeros((det.shape[0], nloc, nloc), dtype=p.dtype)
+        contrib = None
+        for q in range(rule.points.shape[0]):
+            if contrib is None or not np.array_equal(gref[q], gref[q - 1]):
+                # physical gradients g[e, i, :] = inv(J)^T gref[q, i] and their
+                # pairwise dot products, each contraction rounded once to p
+                g = _contract(invJT[:, None, :, :], gref[q][None, :, None, :])  # (nb, nloc, 2)
+                contrib = _contract(g[:, :, None, :], g[:, None, :, :])         # (nb, nloc, nloc)
+            acc += (w[q] * det)[:, None, None] * contrib
+        local[block] = acc
+    return _to_csr(space, local)
 
 
 def assemble_load(space: FESpace, f, exactness: int = ASSEMBLY_DEGREE):
@@ -94,24 +103,26 @@ def assemble_load(space: FESpace, f, exactness: int = ASSEMBLY_DEGREE):
 
 def _load(space: FESpace, f, exactness, elements=slice(None)):
     """The load routine behind assemble_load and assemble_functional, over
-    the given elements (all by default); a private call, so a traced run
-    files each one's work under its own name."""
+    the given elements (all by default), one block of them at a time; a
+    private call, so a traced run files each one's work under its own
+    name."""
     p = space.precision
     rule = quadrature(exactness)
-    a, J, det, _ = _element_geometry(space)
-    a, J, det = a[elements], J[elements], det[elements]
     phi = round_to(basis_values(space.degree, rule.points), p)
     w = round_to(rule.weights, p)
     ref = round_to(rule.points[:, 1:], p)
-
-    local = np.zeros((det.shape[0], space.ndof_local), dtype=p.dtype)
-    for q in range(rule.points.shape[0]):
-        x = a + _contract(J, ref[q])
-        fq = round_to(np.asarray(f(x[:, 0], x[:, 1])), p)
-        local += ((w[q] * det) * fq)[:, None] * phi[q][None, :]
+    vertices = round_to(space.mesh.vertices, p)
+    tri, dofs = space.mesh.elements[elements], space.element_dof_map[elements]
 
     F = np.zeros(space.n_dofs, dtype=p.dtype)
-    np.add.at(F, space.element_dof_map[elements].ravel(), local.ravel())
+    for block in _element_blocks(tri.shape[0]):
+        a, J, det = _element_geometry(vertices, tri[block])
+        local = np.zeros((det.shape[0], space.ndof_local), dtype=p.dtype)
+        for q in range(rule.points.shape[0]):
+            x = a + _contract(J, ref[q])
+            fq = round_to(np.asarray(f(x[:, 0], x[:, 1])), p)
+            local += ((w[q] * det) * fq)[:, None] * phi[q][None, :]
+        np.add.at(F, dofs[block].ravel(), local.ravel())  # in element order, as over all at once
     return round_to(F, p)
 
 

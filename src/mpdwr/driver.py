@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sparse
 
 from . import mesh as meshmod
 from .assembly import apply_dirichlet, assemble_functional, assemble_load, assemble_stiffness
@@ -146,7 +147,9 @@ def _solve(mesh, degree, p, rhs, tol=None, maxit=None, x0=None):
     F = rhs(space)
     A, F = apply_dirichlet(A, F, space.boundary_dofs)
     x, report = pcg(A, F, p, tol=tol, maxit=maxit, x0=x0)
-    r = F.astype(np.float64, copy=False) - A.astype(np.float64, copy=False) @ x.astype(np.float64, copy=False)
+    # A in double on A's own index arrays: only the values are widened
+    A64 = sparse.csr_matrix((A.data.astype(np.float64, copy=False), A.indices, A.indptr), shape=A.shape)
+    r = F.astype(np.float64, copy=False) - A64 @ x.astype(np.float64, copy=False)
     report.true_residual = float(np.linalg.norm(r))
     return Solution(space, x), report
 

@@ -19,6 +19,7 @@ from .fespace import (
     ASSEMBLY_DEGREE,
     EVALUATION_DEGREE,
     Solution,
+    _element_blocks,
     _gradient_columns,
     _quad_columns,
     _value_columns,
@@ -26,7 +27,6 @@ from .fespace import (
     basis_values,
     element_transforms,
     quadrature,
-    solution_gradients,
 )
 from .scalar import round_to
 
@@ -42,11 +42,13 @@ class IndicatorField:
 
 def _element_mean_f(u: Solution, f):
     """Element averages of f with the assembly rule, and element areas."""
-    ne = u.space.mesh.n_elements
-    integral, areas = np.zeros(ne), np.zeros(ne)
-    for x, y, wdet in _quad_columns(u.space.mesh, quadrature(ASSEMBLY_DEGREE)):
-        integral += wdet * np.asarray(f(x, y), dtype=np.float64)
-        areas += wdet
+    m, rule = u.space.mesh, quadrature(ASSEMBLY_DEGREE)
+    integral, areas = np.zeros(m.n_elements), np.zeros(m.n_elements)
+    for block in _element_blocks(m.n_elements):
+        part, area = integral[block], areas[block]  # views, summed in place
+        for x, y, wdet in _quad_columns(m, rule, block):
+            part += wdet * np.asarray(f(x, y), dtype=np.float64)
+            area += wdet
     return integral / areas, areas
 
 
@@ -56,7 +58,8 @@ def residual_indicator(u_h: Solution, f) -> IndicatorField:
     eta_K^2 = h_K^2 |K| fbar_K^2 + 1/2 sum_E h_E int_E [n . grad u_h]^2,
     summed over the interior edges of K.  The Laplacian term vanishes for
     piecewise linears, leaving the element mean fbar_K, and the gradient
-    jump is constant along each edge, so int_E [.]^2 = h_E [.]^2.
+    jump is constant along each edge, so int_E [.]^2 = h_E [.]^2.  The
+    edge terms are formed from (edges,) columns, one per coordinate.
     """
     if u_h.space.degree != 1:
         raise ValueError("residual indicator requires a degree-1 solution")
@@ -65,18 +68,19 @@ def residual_indicator(u_h: Solution, f) -> IndicatorField:
     hK = meshmod.element_diameters(m)
     eta_sq = hK**2 * fbar**2 * areas
 
-    grads = solution_gradients(u_h, quadrature(1))[:, 0, :]  # constant per element
+    centroid = quadrature(1)
+    gx, gy = np.empty(m.n_elements), np.empty(m.n_elements)  # constant per element
+    for block in _element_blocks(m.n_elements):
+        gx[block], gy[block] = next(_gradient_columns(u_h, centroid, block))
     et = meshmod.edge_table(m)
     interior = (et.edge_to_elem >= 0).all(axis=1)
-    eL = et.edge_to_elem[interior, 0]
-    eR = et.edge_to_elem[interior, 1]
-    va = m.vertices[et.edges[interior, 0]]
-    vb = m.vertices[et.edges[interior, 1]]
-    tang = vb - va
-    hE = np.linalg.norm(tang, axis=1)
-    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / hE[:, None]
-
-    jump = ((grads[eL] - grads[eR]) * normal).sum(axis=1)
+    eL, eR = et.edge_to_elem[interior].T
+    va, vb = et.edges[interior].T
+    tx = m.vertices[vb, 0] - m.vertices[va, 0]
+    ty = m.vertices[vb, 1] - m.vertices[va, 1]
+    hE = np.sqrt(tx * tx + ty * ty)
+    # n = (ty, -tx) / hE, the tangent turned clockwise
+    jump = (gx[eL] - gx[eR]) * (ty / hE) + (gy[eL] - gy[eR]) * (-tx / hE)
     contrib = 0.5 * hE * (hE * jump**2)  # int_E jump^2 ds = hE jump^2
     np.add.at(eta_sq, eL, contrib)
     np.add.at(eta_sq, eR, contrib)
@@ -146,31 +150,37 @@ def estimate_Je(u_h: Solution, w: Solution, f) -> float:
     """
     _check_same_mesh(u_h.space.mesh, w.space.mesh)
     rule = quadrature(EVALUATION_DEGREE)
-    ne = u_h.space.mesh.n_elements
-    load, energy = np.zeros(ne), np.zeros(ne)
-    points = zip(_quad_columns(u_h.space.mesh, rule), _value_columns(w, rule),
-                 _gradient_columns(u_h, rule), _gradient_columns(w, rule))
-    for (x, y, wdet), wv, (gux, guy), (gwx, gwy) in points:
-        load += wdet * np.asarray(f(x, y), dtype=np.float64) * wv
-        energy += wdet * (gux * gwx + guy * gwy)
+    m = u_h.space.mesh
+    load, energy = np.zeros(m.n_elements), np.zeros(m.n_elements)
+    for block in _element_blocks(m.n_elements):
+        lb, eb = load[block], energy[block]  # views, summed in place
+        points = zip(_quad_columns(m, rule, block), _value_columns(w, rule, block),
+                     _gradient_columns(u_h, rule, block), _gradient_columns(w, rule, block))
+        for (x, y, wdet), wv, (gux, guy), (gwx, gwy) in points:
+            lb += wdet * np.asarray(f(x, y), dtype=np.float64) * wv
+            eb += wdet * (gux * gwx + guy * gwy)
     return float(np.sum(load) - np.sum(energy))
 
 
 def element_l2_norms(w: Solution) -> np.ndarray:
     """||w||_{L2(K)} per element, in double."""
-    rule = quadrature(ASSEMBLY_DEGREE)
-    out = np.zeros(w.space.mesh.n_elements)
-    for (_, _, wdet), v in zip(_quad_columns(w.space.mesh, rule), _value_columns(w, rule)):
-        out += wdet * v**2
+    rule, m = quadrature(ASSEMBLY_DEGREE), w.space.mesh
+    out = np.zeros(m.n_elements)
+    for block in _element_blocks(m.n_elements):
+        part = out[block]  # a view, summed in place
+        for (_, _, wdet), v in zip(_quad_columns(m, rule, block), _value_columns(w, rule, block)):
+            part += wdet * v**2
     return np.sqrt(out)
 
 
 def element_h1_seminorms(w: Solution) -> np.ndarray:
     """||grad w||_{L2(K)} per element, in double."""
-    rule = quadrature(ASSEMBLY_DEGREE)
-    out = np.zeros(w.space.mesh.n_elements)
-    for (_, _, wdet), (gx, gy) in zip(_quad_columns(w.space.mesh, rule), _gradient_columns(w, rule)):
-        out += wdet * (gx**2 + gy**2)
+    rule, m = quadrature(ASSEMBLY_DEGREE), w.space.mesh
+    out = np.zeros(m.n_elements)
+    for block in _element_blocks(m.n_elements):
+        part = out[block]  # a view, summed in place
+        for (_, _, wdet), (gx, gy) in zip(_quad_columns(m, rule, block), _gradient_columns(w, rule, block)):
+            part += wdet * (gx**2 + gy**2)
     return np.sqrt(out)
 
 

@@ -216,6 +216,40 @@ def zero_solution(space: FESpace) -> Solution:
 # element geometry and shared quadrature-evaluation helpers
 # ---------------------------------------------------------------------------
 
+ELEMENT_BLOCK = 2**15  # elements per block of a quadrature pass; one float64 column is 256 kB
+
+
+def _element_blocks(ne):
+    """Consecutive slices of at most ELEMENT_BLOCK of ne elements, in order.
+
+    Every per-element quadrature pass runs block by block, so its
+    temporaries scale with the block, not the mesh, and stay in cache: the
+    e2 source at 695,080 points takes 31 ms in one call and 13 ms in
+    blocks of 2**15 (13 ms at 2**13, 16 ms at 2**17) on a 2-core AVX-512
+    VM with 2 MB of L2 per core.  The arithmetic is element-wise, so the
+    blocks give the bytes of one pass over the whole mesh.
+    """
+    for start in range(0, ne, ELEMENT_BLOCK):
+        yield slice(start, min(start + ELEMENT_BLOCK, ne))
+
+
+def _affine_geometry(vertices, elements):
+    """Origins (n, 2), J (n, 2, 2) with columns b-a, c-a, and detJ of the
+    given elements' affine maps ref -> phys, at the dtype of vertices."""
+    maps = meshmod.affine_maps(vertices, elements)
+    det = meshmod.affine_det(maps)
+    (ax, d1x, d2x), (ay, d1y, d2y) = maps
+    J = np.stack([d1x, d2x, d1y, d2y], axis=1).reshape(-1, 2, 2)
+    return np.stack([ax, ay], axis=1), J, det
+
+
+def _inverse_transpose(J, det):
+    """inv(J)^T = [[d, -c], [-b, a]] / det for J = [[a, b], [c, d]]."""
+    invJT = np.stack([J[:, 1, 1], -J[:, 1, 0], -J[:, 0, 1], J[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+    invJT /= det[:, None, None]
+    return invJT
+
+
 def element_transforms(m: meshmod.Mesh, p=DOUBLE):
     """Affine maps ref -> phys at precision p: origins, J, detJ, inv(J)^T.
 
@@ -223,21 +257,16 @@ def element_transforms(m: meshmod.Mesh, p=DOUBLE):
     assembly at p and the orthogonality probe at p see the geometry that p
     can represent; the diagnostics use the double default.
     """
-    maps = meshmod.affine_maps(round_to(m.vertices, p), m.elements)
-    det = meshmod.affine_det(maps)
-    (ax, d1x, d2x), (ay, d1y, d2y) = maps
-    J = np.stack([d1x, d2x, d1y, d2y], axis=1).reshape(-1, 2, 2)  # columns b-a, c-a
-    invJT = np.stack([d2y, -d1y, -d2x, d1x], axis=1).reshape(-1, 2, 2)
-    invJT /= det[:, None, None]
-    return np.stack([ax, ay], axis=1), J, det, invJT
+    a, J, det = _affine_geometry(round_to(m.vertices, p), m.elements)
+    return a, J, det, _inverse_transpose(J, det)
 
 
-def _quad_columns(m: meshmod.Mesh, rule: QuadratureRule):
-    """For each quadrature point in turn, (x, y, w_q*detJ) as (ne,) arrays:
-    point q is a + (b-a) r0 + (c-a) r1 at reference point (r0, r1), per
-    coordinate.  Every quadrature pass streams these columns, so none holds
-    an (ne, nq) array."""
-    maps = meshmod.affine_maps(m.vertices, m.elements)
+def _quad_columns(m: meshmod.Mesh, rule: QuadratureRule, block: slice):
+    """For each quadrature point in turn, (x, y, w_q*detJ) over the
+    elements of block: point q is a + (b-a) r0 + (c-a) r1 at reference
+    point (r0, r1), per coordinate.  Every quadrature pass streams these
+    columns, so none holds an (elements, nq) array."""
+    maps = meshmod.affine_maps(m.vertices, m.elements[block])
     det = meshmod.affine_det(maps)
     for (r0, r1), w in zip(rule.points[:, 1:], rule.weights):
         xy = []
@@ -254,38 +283,46 @@ def quad_points_physical(m: meshmod.Mesh, rule: QuadratureRule):
     the columns of _quad_columns side by side."""
     ne, nq = m.n_elements, rule.weights.shape[0]
     pts, wdet = np.empty((ne, nq, 2)), np.empty((ne, nq))
-    for q, (x, y, wd) in enumerate(_quad_columns(m, rule)):
-        pts[:, q, 0], pts[:, q, 1], wdet[:, q] = x, y, wd
+    for block in _element_blocks(ne):
+        for q, (x, y, wd) in enumerate(_quad_columns(m, rule, block)):
+            pts[block, q, 0], pts[block, q, 1], wdet[block, q] = x, y, wd
     return pts, wdet
 
 
-def _value_columns(u: Solution, rule: QuadratureRule):
-    """u at each quadrature point in turn, in double, as (ne,) arrays.
-    Each is row 0 of a two-row product, so every rule gets the bytes of
-    the (ne, nloc) @ (nloc, nq) gemm: numpy hands a one-row product to
-    BLAS gemv, which rounds differently."""
+def _value_columns(u: Solution, rule: QuadratureRule, block: slice):
+    """u at each quadrature point in turn, in double, over the elements of
+    block.  Each is row 0 of a product with two rows and at least two
+    columns, so every rule and block gets the bytes of the (ne, nloc) @
+    (nloc, nq) gemm: numpy hands a one-row or one-column product to BLAS
+    gemv, which rounds differently."""
     phi = basis_values(u.space.degree, rule.points)
-    localT = u.coefficients.astype(np.float64)[u.space.element_dof_map].T  # (nloc, ne)
+    dofs = u.space.element_dof_map[block]
+    n = dofs.shape[0]
+    localT = u.coefficients[dofs[[0, 0]] if n == 1 else dofs].astype(np.float64).T  # (nloc, n)
     for q in range(phi.shape[0]):
-        yield (phi[[q, q]] @ localT)[0]
+        yield (phi[[q, q]] @ localT)[0, :n]
 
 
 def solution_values(u: Solution, rule: QuadratureRule) -> np.ndarray:
     """u at the quadrature points of every element, in double; (ne, nq):
     the columns of _value_columns side by side."""
-    out = np.empty((u.space.mesh.n_elements, rule.weights.shape[0]))
-    for q, vals in enumerate(_value_columns(u, rule)):
-        out[:, q] = vals
+    ne = u.space.mesh.n_elements
+    out = np.empty((ne, rule.weights.shape[0]))
+    for block in _element_blocks(ne):
+        for q, vals in enumerate(_value_columns(u, rule, block)):
+            out[block, q] = vals
     return out
 
 
-def _gradient_columns(u: Solution, rule: QuadratureRule):
-    """grad u at each quadrature point in turn, in double, as (ne,) arrays
-    (d/dx, d/dy).  Sums over the local basis functions in order, starting
-    from zero."""
-    invJT = element_transforms(u.space.mesh)[3]
+def _gradient_columns(u: Solution, rule: QuadratureRule, block: slice):
+    """grad u at each quadrature point in turn, in double, over the
+    elements of block (d/dx, d/dy).  Sums over the local basis functions in
+    order, starting from zero."""
+    m = u.space.mesh
+    _, J, det = _affine_geometry(m.vertices, m.elements[block])
+    invJT = _inverse_transpose(J, det)
     gref = basis_gradients(u.space.degree, rule.points)  # (nq, nloc, 2)
-    local = u.coefficients.astype(np.float64)[u.space.element_dof_map]
+    local = u.coefficients[u.space.element_dof_map[block]].astype(np.float64)
     for q in range(gref.shape[0]):
         if q == 0 or not np.array_equal(gref[q], gref[q - 1]):  # else P1's constant gradients
             grad = [np.zeros(local.shape[0]) for _ in range(2)]
@@ -300,15 +337,17 @@ def _gradient_columns(u: Solution, rule: QuadratureRule):
 def solution_gradients(u: Solution, rule: QuadratureRule) -> np.ndarray:
     """grad u at quadrature points, in double; (ne, nq, 2): the columns
     of _gradient_columns side by side."""
-    out = np.empty((u.space.mesh.n_elements, rule.weights.shape[0], 2))
-    for q, (gx, gy) in enumerate(_gradient_columns(u, rule)):
-        out[:, q, 0], out[:, q, 1] = gx, gy
+    ne = u.space.mesh.n_elements
+    out = np.empty((ne, rule.weights.shape[0], 2))
+    for block in _element_blocks(ne):
+        for q, (gx, gy) in enumerate(_gradient_columns(u, rule, block)):
+            out[block, q, 0], out[block, q, 1] = gx, gy
     return out
 
 
 def _evaluation_pass(u: Solution, exact, region=None):
     """One degree-8 evaluation of exact and u on u's mesh, in double, one
-    quadrature point at a time.
+    block of elements and one quadrature point at a time.
 
     Returns the L2 error of exact - u and, for a region indicator
     region(x, y), the integrals of exact and of u over the region (else
@@ -317,15 +356,17 @@ def _evaluation_pass(u: Solution, exact, region=None):
     points of an element in order, then over the elements.
     """
     rule = quadrature(EVALUATION_DEGREE)
-    ne = u.space.mesh.n_elements
-    err2, int_exact, int_u = np.zeros(ne), np.zeros(ne), np.zeros(ne)
-    for (x, y, wdet), u_vals in zip(_quad_columns(u.space.mesh, rule), _value_columns(u, rule)):
-        exact_vals = np.asarray(exact(x, y), dtype=np.float64)
-        err2 += wdet * (exact_vals - u_vals) ** 2
-        if region is not None:
-            weights = wdet * region(x, y)
-            int_exact += weights * exact_vals
-            int_u += weights * u_vals
+    m = u.space.mesh
+    err2, int_exact, int_u = np.zeros(m.n_elements), np.zeros(m.n_elements), np.zeros(m.n_elements)
+    for block in _element_blocks(m.n_elements):
+        e2, ie, iu = err2[block], int_exact[block], int_u[block]  # views, summed in place
+        for (x, y, wdet), u_vals in zip(_quad_columns(m, rule, block), _value_columns(u, rule, block)):
+            exact_vals = np.asarray(exact(x, y), dtype=np.float64)
+            e2 += wdet * (exact_vals - u_vals) ** 2
+            if region is not None:
+                weights = wdet * region(x, y)
+                ie += weights * exact_vals
+                iu += weights * u_vals
     return float(np.sqrt(np.sum(err2))), np.sum(int_exact), np.sum(int_u)
 
 

@@ -7,10 +7,12 @@ probe from before the geometry moved into ``fespace.element_transforms``,
 and of the areas, element norms and degree-2 node coordinates from before
 they moved onto ``mesh.affine_maps`` and ``mesh.prolong``, and of the
 (elements x points) evaluation passes, the int64 COO scatter and the COO
-Dirichlet elimination from before the passes streamed quadrature points.
-Every kernel must reproduce their bytes exactly, at every precision, on the
-dyadic meshes this code makes (template plus midpoint bisection), so that
-adaptive runs keep producing the same meshes and the same error trails.
+Dirichlet elimination from before the passes streamed quadrature points,
+and of the residual indicator's (edges, 2) jump arrays.  Every kernel must
+reproduce their bytes exactly, at every precision, on the dyadic meshes
+this code makes (template plus midpoint bisection), so that adaptive runs
+keep producing the same meshes and the same error trails, also when the
+quadrature passes run over many small blocks of elements.
 Off dyadic geometry the point coordinates of the load can round differently
 from the batched-matmul reference; there the double load is held to a few
 ulp instead.
@@ -23,12 +25,13 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
-from mpdwr import assembly
+from mpdwr import assembly, fespace
 from mpdwr.driver import initial_mesh
 from mpdwr.fespace import (
     ASSEMBLY_DEGREE,
     EVALUATION_DEGREE,
     Solution,
+    _inverse_transpose,
     basis_gradients,
     basis_values,
     build_space,
@@ -39,8 +42,15 @@ from mpdwr.fespace import (
     solution_gradients,
     solution_values,
 )
-from mpdwr.estimator import _element_mean_f, element_h1_seminorms, element_l2_norms, estimate_Je, galerkin_probe
-from mpdwr.mesh import bisect_marked, edge_table, min_element_volume, signed_areas
+from mpdwr.estimator import (
+    _element_mean_f,
+    element_h1_seminorms,
+    element_l2_norms,
+    estimate_Je,
+    galerkin_probe,
+    residual_indicator,
+)
+from mpdwr.mesh import bisect_marked, edge_table, element_diameters, min_element_volume, signed_areas
 from mpdwr.problems import Functional, _goal_and_l2_errors, eval_functional, functional_error, get_functional, get_problem
 from mpdwr.scalar import round_to
 
@@ -169,23 +179,51 @@ def ref_element_mean_f(m, f):
     return (wdet * fvals).sum(axis=1) / areas, areas
 
 
+def ref_residual_indicator(u_h, f):
+    m = u_h.space.mesh
+    fbar, areas = ref_element_mean_f(m, f)
+    eta_sq = element_diameters(m) ** 2 * fbar**2 * areas
+    grads = ref_solution_gradients(u_h, quadrature(1))[:, 0, :]
+    et = edge_table(m)
+    interior = (et.edge_to_elem >= 0).all(axis=1)
+    eL = et.edge_to_elem[interior, 0]
+    eR = et.edge_to_elem[interior, 1]
+    tang = m.vertices[et.edges[interior, 1]] - m.vertices[et.edges[interior, 0]]
+    hE = np.linalg.norm(tang, axis=1)
+    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / hE[:, None]
+    jump = ((grads[eL] - grads[eR]) * normal).sum(axis=1)
+    contrib = 0.5 * hE * (hE * jump**2)
+    np.add.at(eta_sq, eL, contrib)
+    np.add.at(eta_sq, eR, contrib)
+    return np.sqrt(eta_sq)
+
+
+def point_sums(t):
+    """Per-element sums of an (ne, nq) array over the points in order,
+    starting from zero: the order of the streamed passes."""
+    out = np.zeros(t.shape[0])
+    for q in range(t.shape[1]):
+        out += t[:, q]
+    return out
+
+
 def ref_goal_and_l2(functional, exact, u):
     rule = quadrature(EVALUATION_DEGREE)
     pts, wdet = ref_quad_points(u.space.mesh, rule)
     exact_vals = np.asarray(exact(pts[..., 0], pts[..., 1]), dtype=np.float64)
     u_vals = ref_values(u, rule)
-    l2 = float(np.sqrt(np.sum(wdet * (exact_vals - u_vals) ** 2)))
+    l2 = float(np.sqrt(np.sum(point_sums(wdet * (exact_vals - u_vals) ** 2))))
     weights = wdet * functional.contains(pts[..., 0], pts[..., 1])
-    je = float(np.sum(weights * exact_vals) / functional.area) - float(np.sum(weights * u_vals) / functional.area)
-    return je, l2
+    int_exact, int_u = np.sum(point_sums(weights * exact_vals)), np.sum(point_sums(weights * u_vals))
+    return float(int_exact / functional.area) - float(int_u / functional.area), l2
 
 
 def ref_estimate_je(u_h, w, f):
     rule = quadrature(EVALUATION_DEGREE)
     pts, wdet = ref_quad_points(u_h.space.mesh, rule)
-    load = np.sum(wdet * f(pts[..., 0], pts[..., 1]) * ref_values(w, rule))
-    energy = np.sum(wdet * (ref_gradients(u_h, rule) * ref_gradients(w, rule)).sum(axis=2))
-    return load, energy
+    load = np.sum(point_sums(wdet * f(pts[..., 0], pts[..., 1]) * ref_values(w, rule)))
+    energy = np.sum(point_sums(wdet * (ref_gradients(u_h, rule) * ref_gradients(w, rule)).sum(axis=2)))
+    return float(load - energy)
 
 
 def ref_to_csr(space, local):
@@ -291,16 +329,20 @@ def check_mesh_kernels(m, seed=0):
 
 def check_mesh_geometry(m):
     """The areas, element norms and P2 node coordinates against their
-    formulations from before the shared affine-map kernel, and the streamed
-    evaluation passes against their (elements x points) formulations: equal
-    bytes for the element-wise sums of the assembly rule, within 1e-14 for
-    the sums over the whole mesh, whose order changed."""
+    formulations from before the shared affine-map kernel, the streamed
+    evaluation passes against their (elements x points) formulations and
+    the residual indicator against its (edges, 2) one, all to the byte.
+    The whole-mesh sums of J(e), the L2 error and the goal-error estimate
+    are held to the byte against references that sum each element's
+    points in order: a tolerance relative to |load| + |energy| misses the
+    cancellation between elements and fails on a few random meshes."""
     assert same_bytes(signed_areas(m), 0.5 * ref_det(m))
     assert same_bytes(build_space(m, 2, "double").dof_coords, ref_p2_dof_coords(m))
     for prob in (get_problem("e2"), get_problem("e3")):
         u = random_solution(m, 1, 0)
         for got, want in zip(_element_mean_f(u, prob.f), ref_element_mean_f(m, prob.f)):
             assert same_bytes(got, want), prob.name
+        assert same_bytes(residual_indicator(u, prob.f).values, ref_residual_indicator(u, prob.f)), prob.name
     for degree in (1, 2):
         w = random_solution(m, degree, 0)
         for got, want in zip((element_l2_norms(w), element_h1_seminorms(w)), ref_element_norms(w)):
@@ -310,10 +352,9 @@ def check_mesh_geometry(m):
         u = random_solution(m, degree, 1)
         for functional in (get_functional("j2"), get_functional("j3")):
             (je, l2), (ref_je, ref_l2) = _goal_and_l2_errors(functional, prob.u_exact, u), ref_goal_and_l2(functional, prob.u_exact, u)
-            assert abs(je - ref_je) <= 1e-14 and abs(l2 - ref_l2) <= 1e-14 * ref_l2, (degree, functional.name)
+            assert (je, l2) == (ref_je, ref_l2), (degree, functional.name)
         w = random_solution(m, degree, 2)
-        load, energy = ref_estimate_je(u, w, prob.f)
-        assert abs(estimate_Je(u, w, prob.f) - (load - energy)) <= 1e-14 * (abs(load) + abs(energy)), degree
+        assert estimate_Je(u, w, prob.f) == ref_estimate_je(u, w, prob.f), degree
 
 
 def jittered(m, seed=0):
@@ -341,7 +382,8 @@ def check_geometry_and_probe_on(m):
     assert transforms[1].flags.c_contiguous and transforms[3].flags.c_contiguous
     for prec in ("half", "single", "double"):
         space = build_space(m, 1, prec)
-        for got, want in zip(assembly._element_geometry(space), ref_element_geometry(space)):
+        a, J, det = assembly._element_geometry(round_to(m.vertices, space.precision), m.elements)
+        for got, want in zip((a, J, det, _inverse_transpose(J, det)), ref_element_geometry(space)):
             assert same_bytes(got, want), prec
         v = interpolate(space, prob.u_exact)
         for a, b in ((u, v), (v, v)):
@@ -383,6 +425,21 @@ def test_kernels_random_bisections(seed, rounds):
     m = random_bisections(seed, rounds)
     check_mesh_kernels(m, seed)
     check_assembly(m)
+
+
+def test_kernels_across_block_seams(monkeypatch):
+    """The checks above with the quadrature passes run in small blocks.
+    Every fixture mesh fits in one default block; blocks of 61 elements
+    make each pass cross several seams and end on a ragged block, and
+    blocks of ne - 1 leave a last block of one element, whose values must
+    not go to BLAS gemv.  check_assembly runs check_mesh_geometry on the
+    mesh and on a jittered copy."""
+    for m in (initial_mesh(2), random_bisections(11, 4)):
+        for block in (61, m.n_elements - 1):
+            assert m.n_elements > 3 * 61 and m.n_elements % 61
+            monkeypatch.setattr(fespace, "ELEMENT_BLOCK", block)
+            check_mesh_kernels(m)
+            check_assembly(m)
 
 
 def test_load_on_jittered_mesh_within_ulps():

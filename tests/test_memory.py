@@ -1,14 +1,20 @@
 """Peak memory of the quadrature passes, in ne-length float64 columns.
 
-The evaluation pass and the residual indicator stream quadrature points:
-each holds a fixed number of (ne,) arrays at a time, not (elements x
-points) ones, and stiffness assembly scatters int32 indices.  The bounds
-are the peaks that tracemalloc records for this code on a mesh of about
-100k elements (l2_error 24 columns at P1 and 27 at P2, residual_indicator
-37.7, assemble_stiffness 44, 72, 141 and 223), with 15 % or more margin.
-The degree-8 points as one (ne, 16, 2) array are 32 columns and the
-degree-4 ones 12, so one such array fails the test; so does the int64
-index scatter (61, 88, 210 and 292 columns).
+Every per-element quadrature pass runs over blocks of at most
+fespace.ELEMENT_BLOCK elements, one quadrature point at a time: it holds
+its (ne,) outputs and a fixed number of block-length temporaries, never an
+(elements x points) array or an (ne, nloc, nloc) temporary.  Stiffness
+assembly stores the local matrices once, at the sparse dtype, and
+scatters int32 indices.  The bounds are the peaks that tracemalloc records
+for this code on a mesh of about 100k elements, with 15 % or more margin:
+l2_error 10.0 columns at P1 and 11.3 at P2; assemble_stiffness 28.3, 38.6,
+94.6 and 130.1; assemble_load 5.8/6.4, 7.2/8.5 and 9.2/11.7 (P1/P2 in
+half, single and double); element_h1_seminorms 12.0 and element_l2_norms
+7.7; estimate_Je 22.0; residual_indicator 30.2.  Each pass over the whole
+mesh at once fails its bound (l2_error 24 and 27, stiffness 44, 72, 141
+and 223, load 17 to 31, the element norms 28 and 20, estimate_Je 48, the
+residual indicator's (edges, 2) arrays 37.7); so do the degree-8 points as
+one (ne, 16, 2) array, 32 columns, and the int64 index scatter.
 """
 
 import tracemalloc
@@ -16,9 +22,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mpdwr.assembly import assemble_stiffness
+from mpdwr.assembly import assemble_load, assemble_stiffness
 from mpdwr.driver import initial_mesh
-from mpdwr.estimator import residual_indicator
+from mpdwr.estimator import element_h1_seminorms, element_l2_norms, estimate_Je, residual_indicator
 from mpdwr.fespace import Solution, build_space, l2_error
 from mpdwr.mesh import bisect_marked
 from mpdwr.problems import get_problem
@@ -53,15 +59,34 @@ def test_evaluation_pass_streams_points(mesh):
     prob = get_problem("e2")
     for degree in (1, 2):
         u = solution(mesh, degree, "single")
-        assert peak_columns(mesh, lambda: l2_error(u, prob.u_exact)) < 36, degree
+        assert peak_columns(mesh, lambda: l2_error(u, prob.u_exact)) < 13.5, degree
 
 
 def test_residual_indicator_streams_points(mesh):
     u = solution(mesh, 1, "single")
-    assert peak_columns(mesh, lambda: residual_indicator(u, get_problem("e2").f)) < 44
+    assert peak_columns(mesh, lambda: residual_indicator(u, get_problem("e2").f)) < 35
 
 
-@pytest.mark.parametrize("degree, p, bound", [(1, "single", 51), (1, "double", 82), (2, "single", 162), (2, "double", 256)])
+@pytest.mark.parametrize(
+    "degree, p, bound",
+    [(1, "single", 33), (1, "double", 45), (2, "single", 110), (2, "double", 150)],
+    ids=["1-single", "1-double", "2-single", "2-double"],  # a bound is not part of a test's name
+)
 def test_stiffness_assembly_bounded(mesh, degree, p, bound):
     space = build_space(mesh, degree, p)
     assert peak_columns(mesh, lambda: assemble_stiffness(space)) < bound
+
+
+@pytest.mark.parametrize("p, bound", [("half", 7.5), ("single", 10), ("double", 14)], ids=["half", "single", "double"])
+def test_load_assembly_bounded(mesh, p, bound):
+    f = get_problem("e2").f
+    for degree in (1, 2):
+        space = build_space(mesh, degree, p)
+        assert peak_columns(mesh, lambda: assemble_load(space, f)) < bound, degree
+
+
+def test_element_norms_and_goal_estimate_bounded(mesh):
+    u, w = solution(mesh, 1, "single"), solution(mesh, 1, "double")
+    assert peak_columns(mesh, lambda: element_h1_seminorms(w)) < 14
+    assert peak_columns(mesh, lambda: element_l2_norms(w)) < 9
+    assert peak_columns(mesh, lambda: estimate_Je(u, w, get_problem("e2").f)) < 25.5
