@@ -7,6 +7,11 @@ bit-identical matrices.  Matrices are scipy CSR at the precision's storage
 dtype.  scipy.sparse has no binary16 kernels, so binary16 element
 contributions are stored in float32 and summed there, never rounded back:
 the emulated hardware is binary16 arithmetic with binary32 accumulation.
+The element geometry is formed at the precision itself.  Everything
+formed from it holds binary16 values in float32 containers: the float16
+geometry enters binary32 operations exactly, and each product and sum is
+rounded to binary16 (``scalar._round_half``), which gives the bytes of
+numpy's float16 arithmetic at binary32 speed.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .fespace import (
     basis_values,
     quadrature,
 )
-from .scalar import HALF, round_to
+from .scalar import _rounder, round_to
 
 
 def _element_geometry(vertices, elements):
@@ -52,47 +57,52 @@ def _to_csr(space: FESpace, local: np.ndarray):
     return A
 
 
-def _contract(x, y):
-    """x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] at the operands' precision,
-    the last-axis contraction of two length-2 vectors (J @ r, inv(J)^T g,
-    g_i . g_j) written out.
+def _contract(x, y, rnd):
+    """x[0] * y[0] + x[1] * y[1], rounded once by rnd: the leading-axis
+    contraction of two length-2 vectors (J @ r, inv(J)^T g, g_i . g_j)
+    written out.
 
-    binary16 operands are contracted in binary32 and rounded once to
-    binary16: native binary16 products overflow on fine elements (inf - inf
-    = nan) where the rounded binary32 contraction is finite.
+    binary16 operands, held in float32, are contracted in binary32 and
+    rounded once to binary16: native binary16 products overflow on fine
+    elements (inf - inf = nan) where the rounded binary32 contraction is
+    finite.
     """
-    if x.dtype == np.float16:
-        x, y = x.astype(np.float32), y.astype(np.float32)
-        return round_to(x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1], HALF)
-    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1]
+    return rnd(x[0] * y[0] + x[1] * y[1])
 
 
 def assemble_stiffness(space: FESpace):
     """A_ij = sum_K int_K grad(phi_j) . grad(phi_i), at space precision.
 
-    The local matrices are formed one block of elements at a time and
-    stored at the sparse dtype for the scatter."""
+    The local matrices are formed one block of elements at a time, with
+    the element axis last so that every product runs over contiguous rows,
+    and stored at the sparse dtype for the scatter."""
     p = space.precision
+    vt, rnd = p.sparse_dtype, _rounder(p)
     rule = quadrature(ASSEMBLY_DEGREE)
-    gref = round_to(basis_gradients(space.degree, rule.points), p)
-    w = round_to(rule.weights, p)
+    gref = round_to(basis_gradients(space.degree, rule.points), p).astype(vt, copy=False)
+    w = round_to(rule.weights, p).astype(vt, copy=False)
     m, nloc = space.mesh, space.ndof_local
     vertices = round_to(m.vertices, p)
 
-    local = np.empty((m.n_elements, nloc, nloc), dtype=p.sparse_dtype)
+    local = np.empty((m.n_elements, nloc, nloc), dtype=vt)
     for block in _element_blocks(m.n_elements):
         _, J, det = _element_geometry(vertices, m.elements[block])
-        invJT = _inverse_transpose(J, det)
-        acc = np.zeros((det.shape[0], nloc, nloc), dtype=p.dtype)
-        contrib = None
+        invJ = np.ascontiguousarray(_inverse_transpose(J, det).transpose(2, 1, 0))  # [l, k, e] = inv(J)^T[e, k, l]
+        acc = np.zeros((nloc, nloc, det.shape[0]), dtype=vt)
+        contrib = term = None
         for q in range(rule.points.shape[0]):
             if contrib is None or not np.array_equal(gref[q], gref[q - 1]):
-                # physical gradients g[e, i, :] = inv(J)^T gref[q, i] and their
-                # pairwise dot products, each contraction rounded once to p
-                g = _contract(invJT[:, None, :, :], gref[q][None, :, None, :])  # (nb, nloc, 2)
-                contrib = _contract(g[:, :, None, :], g[:, None, :, :])         # (nb, nloc, nloc)
-            acc += (w[q] * det)[:, None, None] * contrib
-        local[block] = acc
+                # physical gradients g[k, i, e] = (inv(J)^T gref[q, i])_k and
+                # their pairwise dot products, each contraction rounded once to p
+                g = _contract(invJ[:, :, None, :], gref[q].T[:, None, :, None], rnd)  # (2, nloc, nb)
+                contrib = _contract(g[:, :, None, :], g[:, None, :, :], rnd)         # (nloc, nloc, nb)
+                term = None
+            if term is None or w[q] != w[q - 1]:  # else the same bytes: P1, one weight orbit
+                term = rnd(rnd(w[q] * det) * contrib)
+            acc += term
+            if q:  # 0 + term is term
+                rnd(acc)
+        local[block] = acc.transpose(2, 0, 1)
     return _to_csr(space, local)
 
 
@@ -105,24 +115,27 @@ def _load(space: FESpace, f, exactness, elements=slice(None)):
     """The load routine behind assemble_load and assemble_functional, over
     the given elements (all by default), one block of them at a time; a
     private call, so a traced run files each one's work under its own
-    name."""
+    name.  f receives the points at the space's precision."""
     p = space.precision
+    vt, rnd = p.sparse_dtype, _rounder(p)
     rule = quadrature(exactness)
-    phi = round_to(basis_values(space.degree, rule.points), p)
-    w = round_to(rule.weights, p)
-    ref = round_to(rule.points[:, 1:], p)
+    phi = round_to(basis_values(space.degree, rule.points), p).astype(vt, copy=False)
+    w = round_to(rule.weights, p).astype(vt, copy=False)
+    ref = round_to(rule.points[:, 1:], p).astype(vt, copy=False)
     vertices = round_to(space.mesh.vertices, p)
     tri, dofs = space.mesh.elements[elements], space.element_dof_map[elements]
 
     F = np.zeros(space.n_dofs, dtype=p.dtype)
     for block in _element_blocks(tri.shape[0]):
         a, J, det = _element_geometry(vertices, tri[block])
-        local = np.zeros((det.shape[0], space.ndof_local), dtype=p.dtype)
+        local = np.zeros((det.shape[0], space.ndof_local), dtype=vt)
         for q in range(rule.points.shape[0]):
-            x = a + _contract(J, ref[q])
+            x = rnd(a + _contract(J.transpose(2, 0, 1), ref[q], rnd)).astype(p.dtype, copy=False)
             fq = round_to(np.asarray(f(x[:, 0], x[:, 1])), p)
-            local += ((w[q] * det) * fq)[:, None] * phi[q][None, :]
-        np.add.at(F, dofs[block].ravel(), local.ravel())  # in element order, as over all at once
+            local += rnd(rnd(rnd(w[q] * det) * fq)[:, None] * phi[q][None, :])
+            rnd(local)
+        # in element order, as over all at once, at p: binary16 sums stay binary16
+        np.add.at(F, dofs[block].ravel(), local.astype(p.dtype, copy=False).ravel())
     return round_to(F, p)
 
 

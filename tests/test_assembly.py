@@ -236,6 +236,9 @@ def test_half_stiffness_overflows_below_leg_2_to_minus_7():
 
 
 def test_level6_half_primal_breaks_down_on_the_overflowed_matrix():
-    # the level-6 half stiffness holds inf entries, so PCG fails at once
-    with pytest.raises(PCGError, match="at iteration 0"):
+    # the level-6 half stiffness holds inf entries, so PCG fails at once,
+    # and hands back its start vector at binary16
+    with pytest.raises(PCGError, match="at iteration 0") as err:
         solve_primal(initial_mesh(6), get_problem("e3"), "half")
+    assert str(err.value) == "breakdown: d.Ad = nan at iteration 0"
+    assert err.value.x.dtype == np.float16

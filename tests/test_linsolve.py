@@ -7,7 +7,7 @@ from mpdwr.driver import initial_mesh, solve_primal
 from mpdwr.fespace import build_space
 from mpdwr.linsolve import PCGError, default_tol, pcg
 from mpdwr.problems import get_problem
-from mpdwr.scalar import DOUBLE, HALF, SINGLE, round_to
+from mpdwr.scalar import DOUBLE, HALF, SINGLE
 
 
 def test_identity_one_iteration():
@@ -100,35 +100,49 @@ def test_deterministic_solve():
     assert u1.coefficients.tobytes() == u2.coefficients.tobytes()
 
 
-def cold_pcg_reference(A, b, p):
-    """Cold-start Jacobi-PCG loop, success path only (the pre-warm-start code)."""
+def pcg_reference(A, b, p, x0=None):
+    """Jacobi-PCG loop, success path only (the pre-warm-start code, plus
+    x0), on numpy arrays at p's own dtype: binary16 runs on numpy's float16
+    arithmetic, and every rounding is numpy's astype, so the reference
+    shares no rounding code with pcg."""
     dt = p.dtype
-    b = round_to(np.asarray(b), p)
+
+    def rnd(v):
+        return np.asarray(v).astype(dt)
+
+    b = rnd(b)
     bnorm = np.linalg.norm(b.astype(np.float64))
-    dinv = round_to(1.0 / A.diagonal().astype(np.float64), p)
-    x = np.zeros(A.shape[0], dtype=dt)
-    r = b.copy()
-    z = round_to(dinv * r, p)
+    dinv = rnd(1.0 / A.diagonal().astype(np.float64))
+    tol = default_tol(p)
+    if x0 is None:
+        x = np.zeros(A.shape[0], dtype=dt)
+        r = b.copy()
+    else:
+        x = rnd(x0)
+        r = rnd(b - rnd(A @ x))
+        if np.linalg.norm(r.astype(np.float64)) / bnorm <= tol:
+            return x, 0
+    z = rnd(dinv * r)
     d = z.copy()
     rho = dt.type(np.dot(r, z))
     it = 0
     while True:
-        q = round_to(A @ d, p)
+        q = rnd(A @ d)
         alpha = dt.type(rho / dt.type(np.dot(d, q)))
-        x = round_to(x + alpha * d, p)
-        r = round_to(r - alpha * q, p)
+        x = rnd(x + alpha * d)
+        r = rnd(r - alpha * q)
         it += 1
-        if np.linalg.norm(r.astype(np.float64)) / bnorm <= default_tol(p):
+        if np.linalg.norm(r.astype(np.float64)) / bnorm <= tol:
             return x, it
-        z = round_to(dinv * r, p)
+        z = rnd(dinv * r)
         rho_new = dt.type(np.dot(r, z))
         beta = dt.type(rho_new / rho)
         rho = rho_new
-        d = round_to(z + beta * d, p)
+        d = rnd(z + beta * d)
 
 
-def _poisson_system(p):
-    sp = build_space(initial_mesh(2), 1, p)
+def _poisson_system(p, level=2):
+    sp = build_space(initial_mesh(level), 1, p)
     A, F = apply_dirichlet(assemble_stiffness(sp), assemble_load(sp, get_problem("e3").f), sp.boundary_dofs)
     return A, F
 
@@ -137,9 +151,35 @@ def _poisson_system(p):
 def test_cold_start_bit_identical_to_reference(p):
     A, F = _poisson_system(p)
     x, rep = pcg(A, F, p, x0=None)
-    x_ref, it_ref = cold_pcg_reference(A, F, p)
+    x_ref, it_ref = pcg_reference(A, F, p)
     assert rep.iterations == it_ref
     assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+
+
+@pytest.fixture(scope="module")
+def half_level5():
+    return _poisson_system(HALF, level=5)
+
+
+def test_half_level5_with_subnormal_load_bit_identical_to_reference(half_level5):
+    A, F = half_level5
+    assert A.dtype == np.float32 and F.dtype == np.float16
+    nonzero = F[F != 0]
+    subnormal = np.abs(nonzero) < np.finfo(np.float16).smallest_normal
+    assert 0.03 < subnormal.mean() < 0.2  # 4.8 % of the nonzero load entries (1,560 of 32,509)
+    x, rep = pcg(A, F, HALF)
+    x_ref, it_ref = pcg_reference(A, F, HALF)
+    assert rep.iterations == it_ref == 132
+    assert x.dtype == np.float16 and x.tobytes() == x_ref.tobytes()
+
+
+def test_half_warm_start_bit_identical_to_reference(half_level5):
+    A, F = half_level5
+    x0 = 0.5 * pcg(A, F, HALF)[0].astype(np.float64)
+    x, rep = pcg(A, F, HALF, x0=x0)
+    x_ref, it_ref = pcg_reference(A, F, HALF, x0=x0)
+    assert 0 < rep.iterations == it_ref
+    assert x.dtype == np.float16 and x.tobytes() == x_ref.tobytes()
 
 
 def test_warm_start_from_solution_stops_at_once():

@@ -4,6 +4,9 @@ import importlib.util
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 spec = importlib.util.spec_from_file_location("trail", Path(__file__).resolve().parents[1] / "tools" / "trail.py")
 trail = importlib.util.module_from_spec(spec)
@@ -50,3 +53,14 @@ def test_compare_classifies_differences(tmp_path, capsys):
 
     assert trail.compare(a, write(tmp_path / "e.json", entries()[:2])) == 1
     assert "then one ends: 3 vs 2 entries" in capsys.readouterr().out
+
+
+def test_fixed_mesh_solves_and_duals_are_digested_byte_for_byte():
+    u = SimpleNamespace(coefficients=np.array([0.5, -0.0], dtype=np.float16))
+    flipped = SimpleNamespace(coefficients=np.array([0.5, 0.0], dtype=np.float16))  # equal sums
+    solves = [SimpleNamespace(level=4, prec="half", solution=u), SimpleNamespace(level=6, prec="half", solution=None)]
+    entries = trail._solve_entries((solves, {"mpdwr": (flipped, None, [])}))
+    assert [e[0] for e in entries] == ["solve", "solve", "dual"]
+    assert entries[0][1]["dtype"] == "<f2"
+    assert entries[1][1] == {"level": 6, "prec": "half", "dtype": None, "coefficients_sha256": None}
+    assert entries[0][1]["coefficients_sha256"] != entries[2][1]["coefficients_sha256"]

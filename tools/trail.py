@@ -17,6 +17,9 @@ lists, in order:
   post-process L2 error and iterations, and SHA-256 digests of the final
   mesh and solution;
 * the workload's own trail (``workloads.<Workload>.trail``);
+* for the fixed-mesh workload, SHA-256 digests of the coefficient bytes
+  of every solve (null when it failed) and of every dual, so that its
+  solutions are compared byte for byte, not only through their sums;
 * every PCG solve in call order: precision, size and iterations.
 
 ``--compare`` prints "identical" and exits with 0 only when the trails
@@ -86,6 +89,21 @@ def _history_entries(raw) -> list:
     return entries
 
 
+def _coefficients(u) -> dict:
+    return {"dtype": u.coefficients.dtype.str, "coefficients_sha256": _digest(u.coefficients)}
+
+
+def _solve_entries(raw) -> list:
+    solves, duals = raw
+    entries = [
+        ["solve", {"level": s.level, "prec": s.prec}
+         | ({"dtype": None, "coefficients_sha256": None} if s.solution is None else _coefficients(s.solution))]
+        for s in solves
+    ]
+    entries += [["dual", {"name": name} | _coefficients(w)] for name, (w, _, _) in duals.items()]
+    return entries
+
+
 def dump(workload, seed, checkout) -> dict:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "benchmarks")]
     import scipy
@@ -99,6 +117,8 @@ def dump(workload, seed, checkout) -> dict:
     adaptive = hasattr(raw[-1], "records")  # (mesh, solution, history)
     entries = _history_entries(raw) if adaptive else []
     entries += [["workload_trail", _plain(e)] for e in wl.trail(raw)]
+    if not adaptive:  # (solves, duals)
+        entries += _solve_entries(raw)
     entries += [
         ["pcg", {k: info.get(k) for k in ("prec", "n", "iterations", "error")}]
         for *_, info in counter.spans
