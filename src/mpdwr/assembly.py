@@ -42,19 +42,27 @@ def _element_geometry(vertices, elements):
     return a, J, det
 
 
-def _to_csr(space: FESpace, local: np.ndarray):
-    """Scatter (ne, nloc, nloc) local blocks into global CSR.  The COO
-    indices are formed at the width scipy keeps (int32 below 2**31 DoFs)."""
-    dof = space.element_dof_map.astype(np.int32 if space.n_dofs < 2**31 else np.int64)
-    nloc = dof.shape[1]
-    rows = np.repeat(dof, nloc, axis=1).ravel()
-    cols = np.tile(dof, (1, nloc)).ravel()
-    vals = local.ravel()
-    A = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(space.n_dofs, space.n_dofs)
-    ).tocsr()
-    A.sum_duplicates()
-    return A
+def _csr_layout(space: FESpace):
+    """Where each element's local rows go in global CSR, in the order
+    scipy's coo_tocsr gives the element-major COO list (row dof[e, i],
+    column dof[e, j], for e, i, j in order).  Each row holds the local rows
+    of its (element, local row) incidences k = e*nloc + i in element order,
+    so one sort of the keys dof*N + k, with N = ne*nloc, gives slot[k], the
+    CSR row that takes local row k, the column indices in that order and
+    indptr.  The indices are at the width scipy keeps for that COO list."""
+    dof = space.element_dof_map
+    ne, nloc = dof.shape
+    N = ne * nloc
+    idx = np.int32 if N * nloc < 2**31 else np.int64
+    order = dof.reshape(N) * N + np.arange(N)
+    order.sort()
+    order %= N  # the incidences k by DoF, then by element
+    slot = np.empty(N, dtype=idx)
+    slot[order] = np.arange(N, dtype=idx)
+    indices = np.take(dof.astype(idx), order // nloc, axis=0)
+    indptr = np.zeros(space.n_dofs + 1, dtype=idx)
+    np.cumsum(np.bincount(dof.reshape(N), minlength=space.n_dofs) * nloc, out=indptr[1:])
+    return slot, indices, indptr
 
 
 def _contract(x, y, rnd):
@@ -67,15 +75,41 @@ def _contract(x, y, rnd):
     elements (inf - inf = nan) where the rounded binary32 contraction is
     finite.
     """
-    return rnd(x[0] * y[0] + x[1] * y[1])
+    t = x[0] * y[0]
+    t += x[1] * y[1]
+    return rnd(t)
+
+
+def _local_stiffness(J, det, gref, w, rnd):
+    """The local matrices [i, j, e] of a block of elements, element axis
+    last so that every product runs over contiguous rows."""
+    invJ = np.ascontiguousarray(_inverse_transpose(J, det).transpose(2, 1, 0))  # [l, k, e] = inv(J)^T[e, k, l]
+    nloc = gref.shape[1]
+    acc = np.zeros((nloc, nloc, det.shape[0]), dtype=gref.dtype)
+    contrib = term = None
+    for q in range(gref.shape[0]):
+        if contrib is None or not np.array_equal(gref[q], gref[q - 1]):
+            contrib = term = None  # freed before this point's are formed
+            # physical gradients g[k, i, e] = (inv(J)^T gref[q, i])_k and
+            # their pairwise dot products, each contraction rounded once to p
+            g = _contract(invJ[:, :, None, :], gref[q].T[:, None, :, None], rnd)  # (2, nloc, nb)
+            contrib = _contract(g[:, :, None, :], g[:, None, :, :], rnd)         # (nloc, nloc, nb)
+        if term is None or w[q] != w[q - 1]:  # else the same bytes: P1, one weight orbit
+            term = rnd(np.multiply(rnd(w[q] * det), contrib, out=term))
+        acc += term
+        if q:  # 0 + term is term
+            rnd(acc)
+    return acc
 
 
 def assemble_stiffness(space: FESpace):
     """A_ij = sum_K int_K grad(phi_j) . grad(phi_i), at space precision.
 
-    The local matrices are formed one block of elements at a time, with
-    the element axis last so that every product runs over contiguous rows,
-    and stored at the sparse dtype for the scatter."""
+    The local matrices are formed one block of elements at a time, and
+    their rows written at the sparse dtype straight into their CSR slots
+    (``_csr_layout``).  scipy's sum_duplicates then sorts each row's
+    columns and sums the duplicates exactly as after coo_tocsr of the
+    element-major COO list, so A has that list's bytes without it."""
     p = space.precision
     vt, rnd = p.sparse_dtype, _rounder(p)
     rule = quadrature(ASSEMBLY_DEGREE)
@@ -84,26 +118,19 @@ def assemble_stiffness(space: FESpace):
     m, nloc = space.mesh, space.ndof_local
     vertices = round_to(m.vertices, p)
 
-    local = np.empty((m.n_elements, nloc, nloc), dtype=vt)
+    slot, indices, indptr = _csr_layout(space)
+    data = np.empty((slot.shape[0], nloc), dtype=vt)
+    row = np.dtype((np.void, nloc * data.itemsize))  # one local row: a scatter of whole rows
+    rows = data.view(row).reshape(-1)
     for block in _element_blocks(m.n_elements):
         _, J, det = _element_geometry(vertices, m.elements[block])
-        invJ = np.ascontiguousarray(_inverse_transpose(J, det).transpose(2, 1, 0))  # [l, k, e] = inv(J)^T[e, k, l]
-        acc = np.zeros((nloc, nloc, det.shape[0]), dtype=vt)
-        contrib = term = None
-        for q in range(rule.points.shape[0]):
-            if contrib is None or not np.array_equal(gref[q], gref[q - 1]):
-                # physical gradients g[k, i, e] = (inv(J)^T gref[q, i])_k and
-                # their pairwise dot products, each contraction rounded once to p
-                g = _contract(invJ[:, :, None, :], gref[q].T[:, None, :, None], rnd)  # (2, nloc, nb)
-                contrib = _contract(g[:, :, None, :], g[:, None, :, :], rnd)         # (nloc, nloc, nb)
-                term = None
-            if term is None or w[q] != w[q - 1]:  # else the same bytes: P1, one weight orbit
-                term = rnd(rnd(w[q] * det) * contrib)
-            acc += term
-            if q:  # 0 + term is term
-                rnd(acc)
-        local[block] = acc.transpose(2, 0, 1)
-    return _to_csr(space, local)
+        local = np.ascontiguousarray(_local_stiffness(J, det, gref, w, rnd).transpose(2, 0, 1))
+        rows[slot[block.start * nloc : block.stop * nloc]] = local.view(row).reshape(-1)
+        del local  # before the next block's are formed
+    del slot
+    A = sparse.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=(space.n_dofs, space.n_dofs))
+    A.sum_duplicates()
+    return A
 
 
 def assemble_load(space: FESpace, f, exactness: int = ASSEMBLY_DEGREE):
@@ -170,7 +197,9 @@ def apply_dirichlet(A, rhs, bdofs):
 
     Boundary rows and columns are zeroed, the boundary diagonal is set to 1
     and the boundary rhs entries to 0; the system stays symmetric positive
-    definite.
+    definite.  The entries are masked out of A's canonical CSR arrays
+    (sorted columns, no duplicates), so every kept entry keeps its bytes;
+    A itself is left as it is.
     """
     n = A.shape[0]
     bdofs = np.asarray(bdofs, dtype=np.int64)
@@ -178,14 +207,29 @@ def apply_dirichlet(A, rhs, bdofs):
         raise IndexError("boundary dof out of range")
     bmask = np.zeros(n, dtype=bool)
     bmask[bdofs] = True
+    bdofs = np.flatnonzero(bmask)
 
-    coo = A.tocoo()
-    keep = ~(bmask[coo.row] | bmask[coo.col])
-    rows = np.concatenate([coo.row[keep], bdofs])
-    cols = np.concatenate([coo.col[keep], bdofs])
-    vals = np.concatenate([coo.data[keep], np.ones(bdofs.size, dtype=A.dtype)])
-    A2 = sparse.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
-    A2.sum_duplicates()
+    A = A.tocsr()
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    idx = A.indices.dtype
+    keep = ~(bmask[A.indices] | np.repeat(bmask, np.diff(A.indptr)))
+    # a row starts after the kept entries and the boundary diagonals before it
+    starts = np.zeros(A.nnz + 1, dtype=idx)
+    np.cumsum(keep, out=starts[1:])
+    indptr = starts[A.indptr]
+    del starts
+    indptr[1:] += np.cumsum(bmask, dtype=idx)
+    diag = np.zeros(indptr[-1], dtype=bool)
+    diag[indptr[bdofs]] = True  # an emptied boundary row holds its diagonal only
+    indices = np.empty(indptr[-1], dtype=idx)
+    data = np.empty(indptr[-1], dtype=A.dtype)
+    indices[diag], data[diag] = bdofs, 1
+    np.logical_not(diag, out=diag)
+    indices[diag] = A.indices[keep]
+    data[diag] = A.data[keep]
+    A2 = sparse.csr_matrix((data, indices, indptr), shape=A.shape)
 
     rhs2 = rhs.copy()
     rhs2[bdofs] = 0

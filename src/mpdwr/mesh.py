@@ -140,12 +140,14 @@ def element_areas(mesh: Mesh) -> np.ndarray:
 
 
 def element_diameters(mesh: Mesh) -> np.ndarray:
-    """Longest edge per element."""
-    v = mesh.vertices[mesh.elements]
-    l0 = np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
-    l1 = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
-    l2 = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
-    return np.maximum(np.maximum(l0, l1), l2)
+    """Longest edge per element, from per-coordinate vertex columns."""
+    x, y = (mesh.vertices[:, i][mesh.elements.T] for i in range(2))  # (3, ne) each
+
+    def length(i, j):
+        dx, dy = x[j] - x[i], y[j] - y[i]
+        return np.sqrt(dx * dx + dy * dy)
+
+    return np.maximum(np.maximum(length(0, 1), length(1, 2)), length(2, 0))
 
 
 def min_element_volume(mesh: Mesh) -> float:
@@ -346,7 +348,7 @@ def bisect_marked(mesh: Mesh, marked) -> Mesh:
     (once at the refinement edge, then its children at cut parent edges),
     so a marked element's area at least halves.
     """
-    marked = np.unique(np.asarray(marked, dtype=np.int64))
+    marked = np.asarray(marked, dtype=np.int64)  # cutting is idempotent: order and repeats do not matter
     if marked.size == 0:
         return mesh
     if marked.min() < 0 or marked.max() >= mesh.n_elements:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
 from mpdwr.assembly import apply_dirichlet, assemble_functional, assemble_load, assemble_stiffness
@@ -157,6 +158,27 @@ def test_dirichlet_preserves_symmetry():
     A2, _ = apply_dirichlet(A, F, sp.boundary_dofs)
     diff = (A2 - A2.T).toarray()
     assert np.abs(diff).max() == 0.0
+
+
+def test_dirichlet_repeated_boundary_dof_keeps_unit_diagonal():
+    sp = build_space(unit_square_template(), 1, "double")
+    A = assemble_stiffness(sp)
+    F = assemble_load(sp, lambda x, y: np.ones_like(x))
+    A2, F2 = apply_dirichlet(A, F, [0, 0, 2])
+    want, _ = apply_dirichlet(A, F, [0, 2])
+    assert A2[0, 0] == 1.0 and F2[0] == 0.0
+    assert (A2 != want).nnz == 0
+
+
+def test_dirichlet_leaves_a_non_canonical_input_unchanged():
+    # unsorted columns and a duplicate: the elimination must not sort or sum in A
+    indptr, indices = np.array([0, 3, 5, 6]), np.array([2, 0, 0, 1, 0, 2])
+    data = np.array([-1.0, 2.0, 1.0, 3.0, -1.0, 4.0])
+    A = sparse.csr_matrix((data.copy(), indices.copy(), indptr.copy()), shape=(3, 3))
+    A2, F2 = apply_dirichlet(A, np.ones(3), [2])
+    assert (A.indptr == indptr).all() and (A.indices == indices).all() and (A.data == data).all()
+    assert np.array_equal(A2.toarray(), [[3.0, 0.0, 0.0], [-1.0, 3.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.array_equal(F2, [1.0, 1.0, 0.0])
 
 
 def test_spd_after_elimination_dense_cholesky():

@@ -6,9 +6,10 @@ frozen copies of the per-precision Jacobian code and of the orthogonality
 probe from before the geometry moved into ``fespace.element_transforms``,
 and of the areas, element norms and degree-2 node coordinates from before
 they moved onto ``mesh.affine_maps`` and ``mesh.prolong``, and of the
-(elements x points) evaluation passes, the int64 COO scatter and the COO
-Dirichlet elimination from before the passes streamed quadrature points,
-and of the residual indicator's (edges, 2) jump arrays.  Every kernel must
+(elements x points) evaluation passes and the int64 COO scatter from
+before the passes streamed quadrature points, of the residual indicator's
+(edges, 2) jump arrays and the element diameters' (ne, 3, 2) gather, and
+of the COO Dirichlet round trip that the masked CSR elimination replaced.  Every kernel must
 reproduce their bytes exactly, at every precision, on the dyadic meshes
 this code makes (template plus midpoint bisection), so that adaptive runs
 keep producing the same meshes and the same error trails, also when the
@@ -179,10 +180,18 @@ def ref_element_mean_f(m, f):
     return (wdet * fvals).sum(axis=1) / areas, areas
 
 
+def ref_element_diameters(mesh):
+    v = mesh.vertices[mesh.elements]
+    l0 = np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
+    l1 = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
+    l2 = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
+    return np.maximum(np.maximum(l0, l1), l2)
+
+
 def ref_residual_indicator(u_h, f):
     m = u_h.space.mesh
     fbar, areas = ref_element_mean_f(m, f)
-    eta_sq = element_diameters(m) ** 2 * fbar**2 * areas
+    eta_sq = ref_element_diameters(m) ** 2 * fbar**2 * areas
     grads = ref_solution_gradients(u_h, quadrature(1))[:, 0, :]
     et = edge_table(m)
     interior = (et.edge_to_elem >= 0).all(axis=1)
@@ -234,6 +243,21 @@ def ref_to_csr(space, local):
     A = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
     A.sum_duplicates()
     return A
+
+
+def ref_apply_dirichlet(A, rhs, bdofs):
+    bmask = np.zeros(A.shape[0], dtype=bool)
+    bmask[bdofs] = True
+    coo = A.tocoo()
+    keep = ~(bmask[coo.row] | bmask[coo.col])
+    rows = np.concatenate([coo.row[keep], bdofs])
+    cols = np.concatenate([coo.col[keep], bdofs])
+    vals = np.concatenate([coo.data[keep], np.ones(bdofs.size, dtype=A.dtype)])
+    A2 = sparse.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
+    A2.sum_duplicates()
+    rhs2 = rhs.copy()
+    rhs2[bdofs] = 0
+    return A2, rhs2
 
 
 def ref_p2_dof_coords(mesh):
@@ -337,6 +361,7 @@ def check_mesh_geometry(m):
     points in order: a tolerance relative to |load| + |energy| misses the
     cancellation between elements and fails on a few random meshes."""
     assert same_bytes(signed_areas(m), 0.5 * ref_det(m))
+    assert same_bytes(element_diameters(m), ref_element_diameters(m))
     assert same_bytes(build_space(m, 2, "double").dof_coords, ref_p2_dof_coords(m))
     for prob in (get_problem("e2"), get_problem("e3")):
         u = random_solution(m, 1, 0)
@@ -402,6 +427,11 @@ def check_assembly(m):
             load, func = ref_load_and_functional(space, f, functional)
             assert same_bytes(assembly.assemble_load(space, f), load), (degree, prec)
             assert same_bytes(assembly.assemble_functional(space, functional), func), (degree, prec)
+            kept = A.copy()
+            A2, F2 = assembly.apply_dirichlet(A, load, space.boundary_dofs)
+            ref_A2, ref_F2 = ref_apply_dirichlet(kept, load, space.boundary_dofs)
+            assert same_csr(A2, ref_A2) and same_bytes(F2, ref_F2), (degree, prec)
+            assert same_csr(A, kept), (degree, prec)  # the caller's A is left as it is
 
 
 # --- tests --------------------------------------------------------------------

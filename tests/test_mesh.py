@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -130,6 +131,22 @@ def test_bisect_one_of_two_with_compatible_tags():
 def test_bisect_marked_out_of_range():
     with pytest.raises(IndexError):
         bisect_marked(unit_square_template(), [64])
+    with pytest.raises(IndexError):
+        bisect_marked(unit_square_template(), [3, -1, 3])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.5))
+def test_bisect_marked_ignores_order_and_repeats(seed, fraction):
+    rng = np.random.default_rng(seed)
+    m = initial_mesh(2)
+    m = bisect_marked(m, rng.choice(m.n_elements, size=100, replace=False))
+    marked = np.sort(rng.choice(m.n_elements, size=max(1, int(fraction * m.n_elements)), replace=False))
+    shuffled = rng.permutation(np.concatenate([marked, rng.choice(marked, size=marked.size)]))
+    want, got = bisect_marked(m, marked), bisect_marked(m, shuffled)
+    for field in dataclasses.fields(Mesh):
+        a, b = getattr(want, field.name), getattr(got, field.name)
+        assert np.asarray(a).dtype == np.asarray(b).dtype and np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 def test_nvb_angle_bound_random_rounds():
