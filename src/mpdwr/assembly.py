@@ -4,9 +4,13 @@ All assembly arithmetic (Jacobians, basis gradients, quadrature
 accumulation) runs at the target space's precision with a deterministic
 element-then-quadrature-point order, so the same mesh assembled twice gives
 bit-identical matrices.  Matrices are scipy CSR at the precision's storage
-dtype.  scipy.sparse has no binary16 kernels, so binary16 element
-contributions are stored in float32 and summed there, never rounded back:
-the emulated hardware is binary16 arithmetic with binary32 accumulation.
+dtype.  The stiffness writes each element's local rows straight into their
+CSR slots and leaves sorting and duplicate summation to scipy, in the order
+a COO scatter would give them, so no COO arrays are formed; the Dirichlet
+elimination masks the canonical CSR arrays.  scipy.sparse has no binary16
+kernels, so binary16 element contributions are stored in float32 and
+summed there, never rounded back: the emulated hardware is binary16
+arithmetic with binary32 accumulation.
 The element geometry is formed at the precision itself.  Everything
 formed from it holds binary16 values in float32 containers: the float16
 geometry enters binary32 operations exactly, and each product and sum is
