@@ -11,8 +11,11 @@ elimination masks the canonical CSR arrays.  scipy.sparse has no binary16
 kernels, so binary16 element contributions are stored in float32 and
 summed there, never rounded back: the emulated hardware is binary16
 arithmetic with binary32 accumulation.
-The element geometry is formed at the precision itself.  Everything
-formed from it holds binary16 values in float32 containers: the float16
+The element geometry (``mesh.affine_maps``, detJ and
+``fespace._inverse_transpose``) is formed at the precision itself, and
+the quadrature points and basis gradients from it by
+``fespace._contract``, as in double.  Everything formed from the
+geometry holds binary16 values in float32 containers: the float16
 geometry enters binary32 operations exactly, and each product and sum is
 rounded to binary16 (``scalar._round_half``), which gives the bytes of
 numpy's float16 arithmetic at binary32 speed.
@@ -23,11 +26,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 
+from . import mesh as meshmod
 from .fespace import (
     ASSEMBLY_DEGREE,
     EVALUATION_DEGREE,
     FESpace,
-    _affine_geometry,
+    _contract,
     _element_blocks,
     _inverse_transpose,
     basis_gradients,
@@ -38,12 +42,13 @@ from .scalar import _rounder, round_to
 
 
 def _element_geometry(vertices, elements):
-    """Origins, J and detJ of the given elements, from the vertices rounded
+    """affine_maps and detJ of the given elements, from the vertices rounded
     to the space's precision; degenerate elements raise."""
-    a, J, det = _affine_geometry(vertices, elements)
+    maps = meshmod.affine_maps(vertices, elements)
+    det = meshmod.affine_det(maps)
     if np.any(det <= 0):
         raise ValueError("degenerate element: non-positive Jacobian determinant")
-    return a, J, det
+    return maps, det
 
 
 def _csr_layout(space: FESpace):
@@ -69,25 +74,9 @@ def _csr_layout(space: FESpace):
     return slot, indices, indptr
 
 
-def _contract(x, y, rnd):
-    """x[0] * y[0] + x[1] * y[1], rounded once by rnd: the leading-axis
-    contraction of two length-2 vectors (J @ r, inv(J)^T g, g_i . g_j)
-    written out.
-
-    binary16 operands, held in float32, are contracted in binary32 and
-    rounded once to binary16: native binary16 products overflow on fine
-    elements (inf - inf = nan) where the rounded binary32 contraction is
-    finite.
-    """
-    t = x[0] * y[0]
-    t += x[1] * y[1]
-    return rnd(t)
-
-
-def _local_stiffness(J, det, gref, w, rnd):
-    """The local matrices [i, j, e] of a block of elements, element axis
-    last so that every product runs over contiguous rows."""
-    invJ = np.ascontiguousarray(_inverse_transpose(J, det).transpose(2, 1, 0))  # [l, k, e] = inv(J)^T[e, k, l]
+def _local_stiffness(invJT, det, gref, w, rnd):
+    """The local matrices [i, j, e] of a block from inv(J)^T [l, k, e]:
+    element axis last, so that every product runs over contiguous rows."""
     nloc = gref.shape[1]
     acc = np.zeros((nloc, nloc, det.shape[0]), dtype=gref.dtype)
     contrib = term = None
@@ -96,7 +85,7 @@ def _local_stiffness(J, det, gref, w, rnd):
             contrib = term = None  # freed before this point's are formed
             # physical gradients g[k, i, e] = (inv(J)^T gref[q, i])_k and
             # their pairwise dot products, each contraction rounded once to p
-            g = _contract(invJ[:, :, None, :], gref[q].T[:, None, :, None], rnd)  # (2, nloc, nb)
+            g = _contract(invJT[:, :, None, :], gref[q].T[:, None, :, None], rnd)  # [k, i, e]
             contrib = _contract(g[:, :, None, :], g[:, None, :, :], rnd)         # (nloc, nloc, nb)
         if term is None or w[q] != w[q - 1]:  # else the same bytes: P1, one weight orbit
             term = rnd(np.multiply(rnd(w[q] * det), contrib, out=term))
@@ -127,8 +116,9 @@ def assemble_stiffness(space: FESpace):
     row = np.dtype((np.void, nloc * data.itemsize))  # one local row: a scatter of whole rows
     rows = data.view(row).reshape(-1)
     for block in _element_blocks(m.n_elements):
-        _, J, det = _element_geometry(vertices, m.elements[block])
-        local = np.ascontiguousarray(_local_stiffness(J, det, gref, w, rnd).transpose(2, 0, 1))
+        maps, det = _element_geometry(vertices, m.elements[block])
+        local = _local_stiffness(_inverse_transpose(maps, det), det, gref, w, rnd)
+        local = np.ascontiguousarray(local.transpose(2, 0, 1))
         rows[slot[block.start * nloc : block.stop * nloc]] = local.view(row).reshape(-1)
         del local  # before the next block's are formed
     del slot
@@ -158,16 +148,16 @@ def _load(space: FESpace, f, exactness, elements=slice(None)):
 
     F = np.zeros(space.n_dofs, dtype=p.dtype)
     for block in _element_blocks(tri.shape[0]):
-        a, J, det = _element_geometry(vertices, tri[block])
+        maps, det = _element_geometry(vertices, tri[block])
         local = np.zeros((det.shape[0], space.ndof_local), dtype=vt)
         for q in range(rule.points.shape[0]):
-            x = rnd(a + _contract(J.transpose(2, 0, 1), ref[q], rnd)).astype(p.dtype, copy=False)
-            fq = round_to(np.asarray(f(x[:, 0], x[:, 1])), p)
+            x, y = (rnd(_contract((d1, d2), ref[q], rnd) + a).astype(p.dtype, copy=False) for a, d1, d2 in maps)
+            fq = round_to(np.asarray(f(x, y)), p)
             local += rnd(rnd(rnd(w[q] * det) * fq)[:, None] * phi[q][None, :])
             rnd(local)
         # in element order, as over all at once, at p: binary16 sums stay binary16
         np.add.at(F, dofs[block].ravel(), local.astype(p.dtype, copy=False).ravel())
-    return round_to(F, p)
+    return F
 
 
 def _elements_near(space: FESpace, region):
@@ -193,7 +183,7 @@ def assemble_functional(space: FESpace, functional):
     p = space.precision
     inv_area = round_to(1.0 / functional.area, p)
     near = _elements_near(space, functional.region)
-    return round_to(inv_area * _load(space, functional.contains, EVALUATION_DEGREE, near), p)
+    return inv_area * _load(space, functional.contains, EVALUATION_DEGREE, near)
 
 
 def apply_dirichlet(A, rhs, bdofs):

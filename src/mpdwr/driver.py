@@ -293,9 +293,9 @@ def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
     switch takes effect at iteration k + 1, iteration k's dual stays at the
     old pair.  Every dual after the first starts from the previous
     iteration's dual, prolonged onto the refined mesh through
-    mesh.vertex_parents, and stops at _dual_tol.  A PCG failure is flagged and stops the run; the
-    returned mesh and solution are then those of the last completed primal
-    solve.
+    mesh.vertex_parents, and stops at _dual_tol.  A PCG failure, in the loop
+    or in the post-process, is flagged and stops the run; the returned mesh
+    and solution are then those of the last completed primal solve.
     """
     pairs = pairs or [(cfg.primal_precision, cfg.dual_precision)]
     if mesh is None:
@@ -399,9 +399,15 @@ def _adapt_loop(problem, functional, cfg, mesh=None, pairs=None, switch=None):
 
     if cfg.post_process and u is not None and u.precision is not DOUBLE:
         # warm-started double re-solve of the final primal
-        u, history.post_process_time, history.post_iterations = post_process(
-            mesh, problem, cfg.solver_tol, cfg.solver_maxit, u0=u
-        )
+        t0 = time.perf_counter()
+        try:
+            u, history.post_process_time, history.post_iterations = post_process(
+                mesh, problem, cfg.solver_tol, cfg.solver_maxit, u0=u
+            )
+        except PCGError as err:
+            history.post_process_time, history.post_iterations = time.perf_counter() - t0, err.report.iterations
+            history.flags.append(f"PCG failure in the double post-process ({err}); returning the last primal")
+            return mesh, u, history
         t0 = time.perf_counter()
         history.post_l2 = l2_error(u, problem.u_exact)
         history.post_eval_time = time.perf_counter() - t0

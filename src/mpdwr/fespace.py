@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mesh as meshmod
-from .scalar import DOUBLE, Precision, precision, round_to
+from .scalar import DOUBLE, Precision, _same, precision, round_to
 
 
 # ---------------------------------------------------------------------------
@@ -233,49 +233,51 @@ def _element_blocks(ne):
         yield slice(start, min(start + ELEMENT_BLOCK, ne))
 
 
-def _affine_geometry(vertices, elements):
-    """Origins (n, 2), J (n, 2, 2) with columns b-a, c-a, and detJ of the
-    given elements' affine maps ref -> phys, at the dtype of vertices."""
-    maps = meshmod.affine_maps(vertices, elements)
-    det = meshmod.affine_det(maps)
-    (ax, d1x, d2x), (ay, d1y, d2y) = maps
-    J = np.stack([d1x, d2x, d1y, d2y], axis=1).reshape(-1, 2, 2)
-    return np.stack([ax, ay], axis=1), J, det
+def _contract(x, y, rnd):
+    """x[0] * y[0] + x[1] * y[1], rounded once by rnd (binary16 or the
+    identity): every quadrature point and physical basis gradient.  binary16
+    operands in float32 are contracted in binary32: native binary16
+    products overflow on fine elements where this is finite."""
+    t = x[0] * y[0]
+    t += x[1] * y[1]
+    return rnd(t)
 
 
-def _inverse_transpose(J, det):
-    """inv(J)^T = [[d, -c], [-b, a]] / det for J = [[a, b], [c, d]]."""
-    invJT = np.stack([J[:, 1, 1], -J[:, 1, 0], -J[:, 0, 1], J[:, 0, 0]], axis=1).reshape(-1, 2, 2)
-    invJT /= det[:, None, None]
+def _inverse_transpose(maps, det):
+    """inv(J)^T from affine_maps and their det, at the dtype of maps, element
+    axis last: [l, k, e] holds inv(J)^T[e, k, l], row l of inv(J) =
+    [[d, -b], [-c, a]] / det for J = [[a, b], [c, d]]."""
+    (_, d1x, d2x), (_, d1y, d2y) = maps
+    invJT = np.stack([d2y, -d2x, -d1y, d1x]).reshape(2, 2, -1)
+    invJT /= det
     return invJT
 
 
 def element_transforms(m: meshmod.Mesh, p=DOUBLE):
     """Affine maps ref -> phys at precision p: origins, J, detJ, inv(J)^T.
 
-    The vertices are rounded to p first (the identity at double), so
-    assembly at p and the orthogonality probe at p see the geometry that p
-    can represent; the diagnostics use the double default.
+    The vertices are rounded to p first (the identity at double), so the
+    orthogonality probe at p sees the geometry that p can represent; the
+    diagnostics use the double default.
     """
-    a, J, det = _affine_geometry(round_to(m.vertices, p), m.elements)
-    return a, J, det, _inverse_transpose(J, det)
+    maps = meshmod.affine_maps(round_to(m.vertices, p), m.elements)
+    det = meshmod.affine_det(maps)
+    (ax, d1x, d2x), (ay, d1y, d2y) = maps
+    J = np.stack([d1x, d2x, d1y, d2y], axis=1).reshape(-1, 2, 2)
+    invJT = np.ascontiguousarray(_inverse_transpose(maps, det).transpose(2, 1, 0))
+    return np.stack([ax, ay], axis=1), J, det, invJT
 
 
 def _quad_columns(m: meshmod.Mesh, rule: QuadratureRule, block: slice):
     """For each quadrature point in turn, (x, y, w_q*detJ) over the
-    elements of block: point q is a + (b-a) r0 + (c-a) r1 at reference
+    elements of block: point q is (b-a) r0 + (c-a) r1 + a at reference
     point (r0, r1), per coordinate.  Every quadrature pass streams these
     columns, so none holds an (elements, nq) array."""
     maps = meshmod.affine_maps(m.vertices, m.elements[block])
     det = meshmod.affine_det(maps)
-    for (r0, r1), w in zip(rule.points[:, 1:], rule.weights):
-        xy = []
-        for a, d1, d2 in maps:
-            x = d1 * r0
-            x += d2 * r1
-            x += a
-            xy.append(x)
-        yield xy[0], xy[1], w * det
+    for r, w in zip(rule.points[:, 1:], rule.weights):
+        x, y = (_contract((d1, d2), r, _same) + a for a, d1, d2 in maps)
+        yield x, y, w * det
 
 
 def quad_points_physical(m: meshmod.Mesh, rule: QuadratureRule):
@@ -319,18 +321,18 @@ def _gradient_columns(u: Solution, rule: QuadratureRule, block: slice):
     elements of block (d/dx, d/dy).  Sums over the local basis functions in
     order, starting from zero."""
     m = u.space.mesh
-    _, J, det = _affine_geometry(m.vertices, m.elements[block])
-    invJT = _inverse_transpose(J, det)
+    maps = meshmod.affine_maps(m.vertices, m.elements[block])
+    invJT = _inverse_transpose(maps, meshmod.affine_det(maps))
+    del maps  # only inv(J)^T is kept while the points stream
     gref = basis_gradients(u.space.degree, rule.points)  # (nq, nloc, 2)
-    local = u.coefficients[u.space.element_dof_map[block]].astype(np.float64)
+    localT = u.coefficients[u.space.element_dof_map[block]].astype(np.float64).T
     for q in range(gref.shape[0]):
         if q == 0 or not np.array_equal(gref[q], gref[q - 1]):  # else P1's constant gradients
-            grad = [np.zeros(local.shape[0]) for _ in range(2)]
-            for i, (g0, g1) in enumerate(gref[q]):
-                for k in range(2):
-                    t = invJT[:, k, 0] * g0 + invJT[:, k, 1] * g1
-                    t *= local[:, i]
-                    grad[k] += t
+            grad = np.zeros((2, localT.shape[1]))
+            for g, c in zip(gref[q], localT):  # one basis function at a time: no (2, nloc, nb) array
+                t = _contract(invJT, g, _same)  # inv(J)^T g
+                t *= c
+                grad += t
         yield grad[0], grad[1]
 
 

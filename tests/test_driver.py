@@ -564,6 +564,20 @@ def test_pcg_failure_in_primal_returns_last_solved_mesh():
     assert len(hist.flags) == 1 and hist.flags[0].startswith("PCG failure in adaptive iteration 0")
 
 
+def test_pcg_failure_in_post_process_flags_and_keeps_history():
+    # the single primals converge in 65 and 85 iterations, the double
+    # post-process needs 158: at maxit 150 it fails, and the run returns
+    # the last single primal on the last mesh with both records and the
+    # failed solve's time and iterations
+    prob, func = get_problem("e3"), get_functional("j1")
+    mesh, u, hist = mpdwr_adapt(prob, func, AdaptConfig(max_iter=1, solver_maxit=150, initial_refines=3))
+    assert [r.primal_iterations for r in hist.records] == [65, 85]
+    assert len(hist.flags) == 1 and hist.flags[0].startswith("PCG failure in the double post-process")
+    assert u.precision is SINGLE and u.space.mesh is mesh
+    assert u.space.n_dofs == hist.records[-1].n_dofs
+    assert hist.post_l2 is None and hist.post_iterations == 150 and hist.post_process_time > 0
+
+
 def test_estimated_mode_stop_on_tol_is_flagged():
     prob, func = get_problem("e3"), get_functional("j1")
     cfg = small_cfg(je_mode="estimated", tol=1e-4, max_iter=20)

@@ -12,15 +12,18 @@ tracemalloc records for this code on a mesh of about 100k elements, with
 are binary16 values in float32 containers): l2_error 10.0 columns at P1
 and 11.3 at P2; assemble_stiffness 20.4/73.1, 18.8/62.5 and 30.2/102.0;
 apply_dirichlet 6.4/41.2 (half and single) and 9.9/64.1; assemble_load
-6.0/6.9, 7.2/8.5 and 9.2/11.7 (P1/P2 in half, single and double);
-element_h1_seminorms 12.0 and element_l2_norms 7.7; estimate_Je 22.0;
+6.0/6.9, 7.2/8.5 and 8.5/11.0 (P1/P2 in half, single and double);
+element_h1_seminorms 10.7 and element_l2_norms 7.7; estimate_Je 18.7;
 residual_indicator 30.2.  Each pass over the whole mesh at once fails its
 bound (l2_error 24 and 27, stiffness 44, 72, 141 and 223, load 17 to 31,
 the element norms 28 and 20, estimate_Je 48, the residual indicator's
 (edges, 2) arrays 37.7); so do the degree-8 points as one (ne, 16, 2)
 array, 32 columns, the int64 index scatter, the int32 COO scatter
 (stiffness 28.1/94.3, 28.3/94.6 and 38.6/130.2) and the COO Dirichlet
-round trip (18.1/118.4 and 21.6/141.2).
+round trip (18.1/118.4 and 21.6/141.2), and the stacked element geometry
+the load and the solution gradients formed before they took the
+affine-map columns (double load 9.2/11.7, element_h1_seminorms 12.0,
+estimate_Je 22.0).
 """
 
 import tracemalloc
@@ -91,7 +94,7 @@ def test_dirichlet_elimination_bounded(mesh, p, bounds):
         assert peak_columns(mesh, lambda: apply_dirichlet(A, F, space.boundary_dofs)) < bound, degree
 
 
-@pytest.mark.parametrize("p, bound", [("half", 7.5), ("single", 10), ("double", 14)], ids=["half", "single", "double"])
+@pytest.mark.parametrize("p, bound", [("half", 7.5), ("single", 10), ("double", 12.7)], ids=["half", "single", "double"])
 def test_load_assembly_bounded(mesh, p, bound):
     f = get_problem("e2").f
     for degree in (1, 2):
@@ -101,6 +104,6 @@ def test_load_assembly_bounded(mesh, p, bound):
 
 def test_element_norms_and_goal_estimate_bounded(mesh):
     u, w = solution(mesh, 1, "single"), solution(mesh, 1, "double")
-    assert peak_columns(mesh, lambda: element_h1_seminorms(w)) < 14
+    assert peak_columns(mesh, lambda: element_h1_seminorms(w)) < 12.5
     assert peak_columns(mesh, lambda: element_l2_norms(w)) < 9
-    assert peak_columns(mesh, lambda: estimate_Je(u, w, get_problem("e2").f)) < 25.5
+    assert peak_columns(mesh, lambda: estimate_Je(u, w, get_problem("e2").f)) < 21.5
