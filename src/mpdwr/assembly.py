@@ -11,14 +11,13 @@ elimination masks the canonical CSR arrays.  scipy.sparse has no binary16
 kernels, so binary16 element contributions are stored in float32 and
 summed there, never rounded back: the emulated hardware is binary16
 arithmetic with binary32 accumulation.
-The element geometry (``mesh.affine_maps``, detJ and
-``fespace._inverse_transpose``) is formed at the precision itself, and
-the quadrature points and basis gradients from it by
-``fespace._contract``, as in double.  Everything formed from the
-geometry holds binary16 values in float32 containers: the float16
-geometry enters binary32 operations exactly, and each product and sum is
-rounded to binary16 (``scalar._round_half``), which gives the bytes of
-numpy's float16 arithmetic at binary32 speed.
+The element geometry (``fespace._element_geometry``) and from it the
+load's quadrature points (``fespace._quad_columns``) and the basis
+gradients are formed at the precision itself, as in double.  At binary16
+they are binary16 values in float32 containers: the float16 geometry
+enters binary32 operations exactly, and each product and sum is rounded
+to binary16 (``scalar._round_half``), which gives the bytes of numpy's
+float16 arithmetic at binary32 speed.
 """
 
 from __future__ import annotations
@@ -26,29 +25,20 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 
-from . import mesh as meshmod
 from .fespace import (
     ASSEMBLY_DEGREE,
     EVALUATION_DEGREE,
     FESpace,
     _contract,
     _element_blocks,
+    _element_geometry,
     _inverse_transpose,
+    _quad_columns,
     basis_gradients,
     basis_values,
     quadrature,
 )
 from .scalar import _rounder, round_to
-
-
-def _element_geometry(vertices, elements):
-    """affine_maps and detJ of the given elements, from the vertices rounded
-    to the space's precision; degenerate elements raise."""
-    maps = meshmod.affine_maps(vertices, elements)
-    det = meshmod.affine_det(maps)
-    if np.any(det <= 0):
-        raise ValueError("degenerate element: non-positive Jacobian determinant")
-    return maps, det
 
 
 def _csr_layout(space: FESpace):
@@ -141,19 +131,15 @@ def _load(space: FESpace, f, exactness, elements=slice(None)):
     vt, rnd = p.sparse_dtype, _rounder(p)
     rule = quadrature(exactness)
     phi = round_to(basis_values(space.degree, rule.points), p).astype(vt, copy=False)
-    w = round_to(rule.weights, p).astype(vt, copy=False)
-    ref = round_to(rule.points[:, 1:], p).astype(vt, copy=False)
     vertices = round_to(space.mesh.vertices, p)
     tri, dofs = space.mesh.elements[elements], space.element_dof_map[elements]
 
     F = np.zeros(space.n_dofs, dtype=p.dtype)
     for block in _element_blocks(tri.shape[0]):
-        maps, det = _element_geometry(vertices, tri[block])
-        local = np.zeros((det.shape[0], space.ndof_local), dtype=vt)
-        for q in range(rule.points.shape[0]):
-            x, y = (rnd(_contract((d1, d2), ref[q], rnd) + a).astype(p.dtype, copy=False) for a, d1, d2 in maps)
-            fq = round_to(np.asarray(f(x, y)), p)
-            local += rnd(rnd(rnd(w[q] * det) * fq)[:, None] * phi[q][None, :])
+        local = np.zeros((block.stop - block.start, space.ndof_local), dtype=vt)
+        for q, (x, y, wdet) in enumerate(_quad_columns(vertices, tri[block], rule, p)):
+            fq = round_to(np.asarray(f(x.astype(p.dtype, copy=False), y.astype(p.dtype, copy=False))), p)
+            local += rnd(rnd(wdet * fq)[:, None] * phi[q][None, :])
             rnd(local)
         # in element order, as over all at once, at p: binary16 sums stay binary16
         np.add.at(F, dofs[block].ravel(), local.astype(p.dtype, copy=False).ravel())

@@ -19,14 +19,12 @@ from .fespace import (
     ASSEMBLY_DEGREE,
     EVALUATION_DEGREE,
     Solution,
-    _element_blocks,
-    _gradient_columns,
-    _quad_columns,
-    _value_columns,
+    _points,
     basis_gradients,
     basis_values,
     element_transforms,
     quadrature,
+    solution_gradients,
 )
 from .scalar import round_to
 
@@ -42,13 +40,11 @@ class IndicatorField:
 
 def _element_mean_f(u: Solution, f):
     """Element averages of f with the assembly rule, and element areas."""
-    m, rule = u.space.mesh, quadrature(ASSEMBLY_DEGREE)
+    m = u.space.mesh
     integral, areas = np.zeros(m.n_elements), np.zeros(m.n_elements)
-    for block in _element_blocks(m.n_elements):
-        part, area = integral[block], areas[block]  # views, summed in place
-        for x, y, wdet in _quad_columns(m, rule, block):
-            part += wdet * np.asarray(f(x, y), dtype=np.float64)
-            area += wdet
+    for block, _, x, y, wdet, _, _ in _points(m, quadrature(ASSEMBLY_DEGREE)):
+        integral[block] += wdet * np.asarray(f(x, y), dtype=np.float64)
+        areas[block] += wdet
     return integral / areas, areas
 
 
@@ -68,10 +64,7 @@ def residual_indicator(u_h: Solution, f) -> IndicatorField:
     hK = meshmod.element_diameters(m)
     eta_sq = hK**2 * fbar**2 * areas
 
-    centroid = quadrature(1)
-    gx, gy = np.empty(m.n_elements), np.empty(m.n_elements)  # constant per element
-    for block in _element_blocks(m.n_elements):
-        gx[block], gy[block] = next(_gradient_columns(u_h, centroid, block))
+    gx, gy = solution_gradients(u_h, quadrature(1))[:, 0].T  # constant per element
     et = meshmod.edge_table(m)
     interior = (et.edge_to_elem >= 0).all(axis=1)
     eL, eR = et.edge_to_elem[interior].T
@@ -149,50 +142,40 @@ def estimate_Je(u_h: Solution, w: Solution, f) -> float:
     failure mode the precision split exists to avoid.
     """
     _check_same_mesh(u_h.space.mesh, w.space.mesh)
-    rule = quadrature(EVALUATION_DEGREE)
-    m = u_h.space.mesh
+    m, rule = u_h.space.mesh, quadrature(EVALUATION_DEGREE)
     load, energy = np.zeros(m.n_elements), np.zeros(m.n_elements)
-    for block in _element_blocks(m.n_elements):
-        lb, eb = load[block], energy[block]  # views, summed in place
-        points = zip(_quad_columns(m, rule, block), _value_columns(w, rule, block),
-                     _gradient_columns(u_h, rule, block), _gradient_columns(w, rule, block))
-        for (x, y, wdet), wv, (gux, guy), (gwx, gwy) in points:
-            lb += wdet * np.asarray(f(x, y), dtype=np.float64) * wv
-            eb += wdet * (gux * gwx + guy * gwy)
+    for block, _, x, y, wdet, (wv,), ((gux, guy), (gwx, gwy)) in _points(m, rule, (w,), (u_h, w)):
+        load[block] += wdet * np.asarray(f(x, y), dtype=np.float64) * wv
+        energy[block] += wdet * (gux * gwx + guy * gwy)
     return float(np.sum(load) - np.sum(energy))
 
 
 def element_l2_norms(w: Solution) -> np.ndarray:
     """||w||_{L2(K)} per element, in double."""
-    rule, m = quadrature(ASSEMBLY_DEGREE), w.space.mesh
-    out = np.zeros(m.n_elements)
-    for block in _element_blocks(m.n_elements):
-        part = out[block]  # a view, summed in place
-        for (_, _, wdet), v in zip(_quad_columns(m, rule, block), _value_columns(w, rule, block)):
-            part += wdet * v**2
+    out = np.zeros(w.space.mesh.n_elements)
+    for block, _, _, _, wdet, (v,), _ in _points(w.space.mesh, quadrature(ASSEMBLY_DEGREE), values=(w,)):
+        out[block] += wdet * v**2
     return np.sqrt(out)
 
 
 def element_h1_seminorms(w: Solution) -> np.ndarray:
     """||grad w||_{L2(K)} per element, in double."""
-    rule, m = quadrature(ASSEMBLY_DEGREE), w.space.mesh
-    out = np.zeros(m.n_elements)
-    for block in _element_blocks(m.n_elements):
-        part = out[block]  # a view, summed in place
-        for (_, _, wdet), (gx, gy) in zip(_quad_columns(m, rule, block), _gradient_columns(w, rule, block)):
-            part += wdet * (gx**2 + gy**2)
+    out = np.zeros(w.space.mesh.n_elements)
+    for block, _, _, _, wdet, _, ((gx, gy),) in _points(w.space.mesh, quadrature(ASSEMBLY_DEGREE), gradients=(w,)):
+        out[block] += wdet * (gx**2 + gy**2)
     return np.sqrt(out)
 
 
-def dwr_indicator(res: IndicatorField, w: Solution, weight: str = "value") -> IndicatorField:
+def dwr_indicator(res: IndicatorField, w: Solution, weight: str = "gradient") -> IndicatorField:
     """Dual-weighted indicator: eta_K multiplied by a local dual weight.
 
-    weight="value" pairs eta_K with ||w||_{L2(K)}, the literal local split
-    of the residual-times-weight bound.  weight="gradient" pairs it with
-    ||grad w||_{L2(K)}, the energy-pairing split of J(e) = a(u - u_h, w);
-    the gradient weight concentrates at the corners of the functional
-    region where the dual is least regular and steers goal-oriented
-    refinement markedly better, so the adaptive driver uses it.
+    weight="gradient" (the default) pairs eta_K with ||grad w||_{L2(K)},
+    the energy-pairing split of J(e) = a(u - u_h, w); it concentrates at
+    the corners of the functional region where the dual is least regular
+    and steers goal-oriented refinement markedly better, so the adaptive
+    driver, the CLI and the benchmark use it.  weight="value" pairs eta_K
+    with ||w||_{L2(K)}, the literal local split of the
+    residual-times-weight bound.
     """
     _check_same_mesh(res.mesh, w.space.mesh)
     if weight == "value":

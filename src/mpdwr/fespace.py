@@ -4,17 +4,21 @@ A space is parameterized by a :class:`~mpdwr.scalar.Precision`.  Two spaces
 built on the same mesh at different precisions have bit-identical DoF maps;
 only the arithmetic performed with basis values and coefficients differs.
 Reference-element basis values and gradients are tabulated in double and
-rounded to the space's precision at assembly time.
+rounded to the space's precision at assembly time.  Every quadrature pass
+takes its points from ``_quad_columns``, at the space's precision in
+assembly and in double in the evaluation passes, which all read one
+stream, ``_points``, one block of elements and one point at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 from . import mesh as meshmod
-from .scalar import DOUBLE, Precision, _same, precision, round_to
+from .scalar import DOUBLE, Precision, _rounder, _same, precision, round_to
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +237,16 @@ def _element_blocks(ne):
         yield slice(start, min(start + ELEMENT_BLOCK, ne))
 
 
+def _element_geometry(vertices, elements):
+    """affine_maps and detJ of the given elements, at the dtype of vertices
+    (round them first); degenerate elements raise."""
+    maps = meshmod.affine_maps(vertices, elements)
+    det = meshmod.affine_det(maps)
+    if np.any(det <= 0):
+        raise ValueError("degenerate element: non-positive Jacobian determinant")
+    return maps, det
+
+
 def _contract(x, y, rnd):
     """x[0] * y[0] + x[1] * y[1], rounded once by rnd (binary16 or the
     identity): every quadrature point and physical basis gradient.  binary16
@@ -268,27 +282,19 @@ def element_transforms(m: meshmod.Mesh, p=DOUBLE):
     return np.stack([ax, ay], axis=1), J, det, invJT
 
 
-def _quad_columns(m: meshmod.Mesh, rule: QuadratureRule, block: slice):
-    """For each quadrature point in turn, (x, y, w_q*detJ) over the
-    elements of block: point q is (b-a) r0 + (c-a) r1 + a at reference
-    point (r0, r1), per coordinate.  Every quadrature pass streams these
-    columns, so none holds an (elements, nq) array."""
-    maps = meshmod.affine_maps(m.vertices, m.elements[block])
-    det = meshmod.affine_det(maps)
-    for r, w in zip(rule.points[:, 1:], rule.weights):
-        x, y = (_contract((d1, d2), r, _same) + a for a, d1, d2 in maps)
-        yield x, y, w * det
-
-
-def quad_points_physical(m: meshmod.Mesh, rule: QuadratureRule):
-    """Physical quadrature points (ne, nq, 2) and weights*detJ (ne, nq),
-    the columns of _quad_columns side by side."""
-    ne, nq = m.n_elements, rule.weights.shape[0]
-    pts, wdet = np.empty((ne, nq, 2)), np.empty((ne, nq))
-    for block in _element_blocks(ne):
-        for q, (x, y, wd) in enumerate(_quad_columns(m, rule, block)):
-            pts[block, q, 0], pts[block, q, 1], wdet[block, q] = x, y, wd
-    return pts, wdet
+def _quad_columns(vertices, elements, rule: QuadratureRule, p=DOUBLE):
+    """For each quadrature point in turn, (x, y, w_q*detJ) over the given
+    elements, in p's container and rounded to p: point q is
+    (b-a) r0 + (c-a) r1 + a at reference point (r0, r1), per coordinate,
+    from the vertices rounded to p.  Every quadrature pass, at every
+    precision, streams these columns, so none holds an (elements, nq)
+    array."""
+    rnd, vt = _rounder(p), p.sparse_dtype
+    maps, det = _element_geometry(vertices, elements)
+    ref = round_to(rule.points[:, 1:], p).astype(vt, copy=False)
+    for r, w in zip(ref, round_to(rule.weights, p).astype(vt, copy=False)):
+        x, y = (rnd(_contract((d1, d2), r, rnd) + a) for a, d1, d2 in maps)
+        yield x, y, rnd(w * det)
 
 
 def _value_columns(u: Solution, rule: QuadratureRule, block: slice):
@@ -305,25 +311,12 @@ def _value_columns(u: Solution, rule: QuadratureRule, block: slice):
         yield (phi[[q, q]] @ localT)[0, :n]
 
 
-def solution_values(u: Solution, rule: QuadratureRule) -> np.ndarray:
-    """u at the quadrature points of every element, in double; (ne, nq):
-    the columns of _value_columns side by side."""
-    ne = u.space.mesh.n_elements
-    out = np.empty((ne, rule.weights.shape[0]))
-    for block in _element_blocks(ne):
-        for q, vals in enumerate(_value_columns(u, rule, block)):
-            out[block, q] = vals
-    return out
-
-
 def _gradient_columns(u: Solution, rule: QuadratureRule, block: slice):
     """grad u at each quadrature point in turn, in double, over the
     elements of block (d/dx, d/dy).  Sums over the local basis functions in
     order, starting from zero."""
     m = u.space.mesh
-    maps = meshmod.affine_maps(m.vertices, m.elements[block])
-    invJT = _inverse_transpose(maps, meshmod.affine_det(maps))
-    del maps  # only inv(J)^T is kept while the points stream
+    invJT = _inverse_transpose(*_element_geometry(m.vertices, m.elements[block]))  # only inv(J)^T is kept
     gref = basis_gradients(u.space.degree, rule.points)  # (nq, nloc, 2)
     localT = u.coefficients[u.space.element_dof_map[block]].astype(np.float64).T
     for q in range(gref.shape[0]):
@@ -336,20 +329,53 @@ def _gradient_columns(u: Solution, rule: QuadratureRule, block: slice):
         yield grad[0], grad[1]
 
 
+def _points(m: meshmod.Mesh, rule: QuadratureRule, values=(), gradients=()):
+    """The double point stream of every evaluation pass: for each block of
+    elements and each quadrature point in turn, (block, q, x, y, w_q*detJ,
+    the values of the solutions in values, the gradients (d/dx, d/dy) of
+    those in gradients).  Callers sum into their (ne,) outputs at block,
+    over the points of an element in order."""
+    n = len(values)
+    for block in _element_blocks(m.n_elements):
+        columns = [_value_columns(u, rule, block) for u in values]
+        columns += [_gradient_columns(u, rule, block) for u in gradients]
+        stream = zip(count(), _quad_columns(m.vertices, m.elements[block], rule), *columns)
+        # zip reuses its result tuple, and the expression's variables end
+        # with the block, so each point's columns are freed as the next
+        # ones are formed; enumerate or a for loop here holds them longer
+        yield from ((block, q, *point, cols[:n], cols[n:]) for q, point, *cols in stream)
+
+
+def quad_points_physical(m: meshmod.Mesh, rule: QuadratureRule):
+    """Physical quadrature points (ne, nq, 2) and weights*detJ (ne, nq),
+    the columns of the point stream side by side."""
+    ne, nq = m.n_elements, rule.weights.shape[0]
+    pts, wdet = np.empty((ne, nq, 2)), np.empty((ne, nq))
+    for block, q, x, y, wd, _, _ in _points(m, rule):
+        pts[block, q, 0], pts[block, q, 1], wdet[block, q] = x, y, wd
+    return pts, wdet
+
+
+def solution_values(u: Solution, rule: QuadratureRule) -> np.ndarray:
+    """u at the quadrature points of every element, in double; (ne, nq):
+    the value columns of the point stream side by side."""
+    out = np.empty((u.space.mesh.n_elements, rule.weights.shape[0]))
+    for block, q, _, _, _, (vals,), _ in _points(u.space.mesh, rule, values=(u,)):
+        out[block, q] = vals
+    return out
+
+
 def solution_gradients(u: Solution, rule: QuadratureRule) -> np.ndarray:
-    """grad u at quadrature points, in double; (ne, nq, 2): the columns
-    of _gradient_columns side by side."""
-    ne = u.space.mesh.n_elements
-    out = np.empty((ne, rule.weights.shape[0], 2))
-    for block in _element_blocks(ne):
-        for q, (gx, gy) in enumerate(_gradient_columns(u, rule, block)):
-            out[block, q, 0], out[block, q, 1] = gx, gy
+    """grad u at quadrature points, in double; (ne, nq, 2): the gradient
+    columns of the point stream side by side."""
+    out = np.empty((u.space.mesh.n_elements, rule.weights.shape[0], 2))
+    for block, q, _, _, _, _, ((gx, gy),) in _points(u.space.mesh, rule, gradients=(u,)):
+        out[block, q, 0], out[block, q, 1] = gx, gy
     return out
 
 
 def _evaluation_pass(u: Solution, exact, region=None):
-    """One degree-8 evaluation of exact and u on u's mesh, in double, one
-    block of elements and one quadrature point at a time.
+    """One degree-8 evaluation of exact and u on u's mesh, in double.
 
     Returns the L2 error of exact - u and, for a region indicator
     region(x, y), the integrals of exact and of u over the region (else
@@ -357,18 +383,15 @@ def _evaluation_pass(u: Solution, exact, region=None):
     iteration evaluates the exact solution once.  Each sum runs over the
     points of an element in order, then over the elements.
     """
-    rule = quadrature(EVALUATION_DEGREE)
     m = u.space.mesh
     err2, int_exact, int_u = np.zeros(m.n_elements), np.zeros(m.n_elements), np.zeros(m.n_elements)
-    for block in _element_blocks(m.n_elements):
-        e2, ie, iu = err2[block], int_exact[block], int_u[block]  # views, summed in place
-        for (x, y, wdet), u_vals in zip(_quad_columns(m, rule, block), _value_columns(u, rule, block)):
-            exact_vals = np.asarray(exact(x, y), dtype=np.float64)
-            e2 += wdet * (exact_vals - u_vals) ** 2
-            if region is not None:
-                weights = wdet * region(x, y)
-                ie += weights * exact_vals
-                iu += weights * u_vals
+    for block, _, x, y, wdet, (u_vals,), _ in _points(m, quadrature(EVALUATION_DEGREE), values=(u,)):
+        exact_vals = np.asarray(exact(x, y), dtype=np.float64)
+        err2[block] += wdet * (exact_vals - u_vals) ** 2
+        if region is not None:
+            weights = wdet * region(x, y)
+            int_exact[block] += weights * exact_vals
+            int_u[block] += weights * u_vals
     return float(np.sqrt(np.sum(err2))), np.sum(int_exact), np.sum(int_u)
 
 

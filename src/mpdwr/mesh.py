@@ -11,6 +11,8 @@ the midpoint of the refinement edge as the peak of both children and hands
 the two remaining parent edges down as the children's refinement edges,
 which keeps the number of similarity classes finite (shape regularity) and,
 with the criss-cross template below, keeps every element right-isosceles.
+Both refinements cut a set of edges and hand ``_refine`` a child table,
+one row per kind of child, from which it builds every child.
 """
 
 from __future__ import annotations
@@ -304,38 +306,36 @@ def _split_edges(mesh: Mesh, et: EdgeTable, cut):
     return vertices, new_vertex, bedges, parents
 
 
+def _refine(mesh: Mesh, et: EdgeTable, cut, table) -> Mesh:
+    """The children of a refinement, from its cut edges and a child table.
+
+    Each table row is (selected elements, child corners, generation step):
+    the selected elements (a mask or a slice) each give one child whose
+    corners are indices into (a, b, c, m0, m1, m2), mk the midpoint of
+    local edge k, and whose generation is the parent's plus the step.  The
+    children and their generations are concatenated in table order.
+    """
+    vertices, new_vertex, bedges, parents = _split_edges(mesh, et, cut)
+    corners = (*mesh.elements.T, *new_vertex[et.elem_to_edge].T)
+    children = np.concatenate([np.stack([corners[k][sel] for k in child], axis=1) for sel, child, _ in table])
+    generation = np.concatenate([mesh.generation[sel] + step for sel, _, step in table]).astype(np.int32, copy=False)
+    return Mesh(vertices, children, bedges, generation, mesh.domain_area, parents)
+
+
+A, B, C, M0, M1, M2 = range(6)  # corner indices of a child table
+
+
 def global_refine(mesh: Mesh) -> Mesh:
     """Regular (red) refinement: each triangle splits into 4 via midpoints.
 
     Every edge is cut, so each parent edge gets one midpoint and
     coarse-mesh nodal values embed as the leading block of the refined
-    numbering.
+    numbering.  The corner children keep the parent's hypotenuse halves as
+    refinement edges; the center child's refinement edge is (m1, m2).
     """
     et = edge_table(mesh)
-    vertices, new_vertex, bedges, parents = _split_edges(mesh, et, np.ones(et.n_edges, dtype=bool))
-
-    a, b, c = mesh.elements[:, 0], mesh.elements[:, 1], mesh.elements[:, 2]
-    mab = new_vertex[et.elem_to_edge[:, 0]]
-    mbc = new_vertex[et.elem_to_edge[:, 1]]
-    mca = new_vertex[et.elem_to_edge[:, 2]]
-    # corner children keep the parent's hypotenuse halves as refinement
-    # edges; the center child's refinement edge is (mbc, mca)
-    children = np.concatenate(
-        [
-            np.stack([a, mab, mca], axis=1),
-            np.stack([mab, b, mbc], axis=1),
-            np.stack([mca, mbc, c], axis=1),
-            np.stack([mbc, mca, mab], axis=1),
-        ]
-    )
-    return Mesh(
-        vertices=vertices,
-        elements=children,
-        boundary_edges=bedges,
-        generation=np.tile(mesh.generation + 1, 4),
-        domain_area=mesh.domain_area,
-        vertex_parents=parents,
-    )
+    table = [(slice(None), child, 1) for child in ((A, M0, M2), (M0, B, M1), (M2, M1, C), (M1, M2, M0))]
+    return _refine(mesh, et, np.ones(et.n_edges, dtype=bool), table)
 
 
 def bisect_marked(mesh: Mesh, marked) -> Mesh:
@@ -364,52 +364,14 @@ def bisect_marked(mesh: Mesh, marked) -> Mesh:
         cut[need] = True
         if np.count_nonzero(cut) == grown:
             break
-    vertices, new_vertex, bedges, parents = _split_edges(mesh, et, cut)
-
-    elems_out = []
-    gens_out = []
-    a, b, c = mesh.elements[:, 0], mesh.elements[:, 1], mesh.elements[:, 2]
-    c0 = cut[et.elem_to_edge[:, 0]]
-    c1 = cut[et.elem_to_edge[:, 1]]
-    c2 = cut[et.elem_to_edge[:, 2]]
-    gen = mesh.generation
-
-    keep = ~c0
-    elems_out.append(mesh.elements[keep])
-    gens_out.append(gen[keep])
-
-    m0 = new_vertex[et.elem_to_edge[:, 0]]
-    m1 = new_vertex[et.elem_to_edge[:, 1]]
-    m2 = new_vertex[et.elem_to_edge[:, 2]]
-
-    # child over (c, a): refinement edge (c, a), peak m0
-    sel = c0 & ~c2
-    elems_out.append(np.stack([c[sel], a[sel], m0[sel]], axis=1))
-    gens_out.append(gen[sel] + 1)
-    sel = c0 & c2  # grandchildren, split child at midpoint of (c, a)
-    elems_out.append(np.stack([m0[sel], c[sel], m2[sel]], axis=1))
-    gens_out.append(gen[sel] + 2)
-    elems_out.append(np.stack([a[sel], m0[sel], m2[sel]], axis=1))
-    gens_out.append(gen[sel] + 2)
-
-    # child over (b, c): refinement edge (b, c), peak m0
-    sel = c0 & ~c1
-    elems_out.append(np.stack([b[sel], c[sel], m0[sel]], axis=1))
-    gens_out.append(gen[sel] + 1)
-    sel = c0 & c1
-    elems_out.append(np.stack([m0[sel], b[sel], m1[sel]], axis=1))
-    gens_out.append(gen[sel] + 2)
-    elems_out.append(np.stack([c[sel], m0[sel], m1[sel]], axis=1))
-    gens_out.append(gen[sel] + 2)
-
-    return Mesh(
-        vertices=vertices,
-        elements=np.concatenate(elems_out),
-        boundary_edges=bedges,
-        generation=np.concatenate(gens_out).astype(np.int32),
-        domain_area=mesh.domain_area,
-        vertex_parents=parents,
-    )
+    c0, c1, c2 = cut[et.elem_to_edge].T
+    # uncut elements stay; a cut element's children (p, q, m0) over (c, a)
+    # and (b, c) are bisected again at their refinement edge (p, q), whose
+    # midpoint is mk, when it is cut
+    table = [(~c0, (A, B, C), 0)]
+    for ck, p, q, mk in ((c2, C, A, M2), (c1, B, C, M1)):
+        table += [(c0 & ~ck, (p, q, M0), 1), (c0 & ck, (M0, p, mk), 2), (c0 & ck, (q, M0, mk), 2)]
+    return _refine(mesh, et, cut, table)
 
 
 def save_mesh_text(mesh: Mesh, path):

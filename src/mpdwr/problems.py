@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fespace import EVALUATION_DEGREE, Solution, _element_blocks, _evaluation_pass, _quad_columns, _value_columns, quadrature
+from .fespace import EVALUATION_DEGREE, Solution, _evaluation_pass, _points, quadrature
 
 # below this |y|, 1 - y^-4 < log(smallest normal double) and exp underflows
 _Y_CUTOFF = 0.19
@@ -224,14 +224,11 @@ def eval_functional(functional: Functional, u, mesh=None) -> float:
         mesh = u.space.mesh
     elif mesh is None:
         raise ValueError("a mesh is required to evaluate a plain field")
-    rule = quadrature(EVALUATION_DEGREE)
+    solutions = (u,) if isinstance(u, Solution) else ()
     integral = np.zeros(mesh.n_elements)
-    for block in _element_blocks(mesh.n_elements):
-        values = _value_columns(u, rule, block) if isinstance(u, Solution) else None
-        part = integral[block]  # a view, summed in place
-        for x, y, wdet in _quad_columns(mesh, rule, block):
-            vals = next(values) if values else np.asarray(u(x, y), dtype=np.float64)
-            part += (wdet * functional.contains(x, y)) * vals
+    for block, _, x, y, wdet, values, _ in _points(mesh, quadrature(EVALUATION_DEGREE), solutions):
+        vals = values[0] if values else np.asarray(u(x, y), dtype=np.float64)
+        integral[block] += (wdet * functional.contains(x, y)) * vals
     return float(np.sum(integral) / functional.area)
 
 

@@ -11,7 +11,7 @@ from mpdwr.estimator import (
     galerkin_probe,
     residual_indicator,
 )
-from mpdwr.fespace import Solution, build_space, interpolate, zero_solution
+from mpdwr.fespace import Solution, build_space, interpolate, l2_error, zero_solution
 from mpdwr.mesh import element_areas, element_diameters, global_refine, unit_square_template
 from mpdwr.problems import get_functional, get_problem
 from tests.test_mesh import two_triangle_square
@@ -21,6 +21,21 @@ def test_indicator_field_total():
     m = unit_square_template()
     ind = IndicatorField(m, np.full(m.n_elements, 2.0))
     assert ind.total == pytest.approx(2.0 * np.sqrt(m.n_elements))
+
+
+def test_double_passes_reject_an_inverted_element():
+    # the double evaluation passes form their geometry through the same
+    # determinant check as assembly, so a clockwise element raises instead
+    # of entering the sums with a negative weight
+    m = initial_mesh(1)
+    m.elements[5] = m.elements[5, [1, 0, 2]]
+    prob = get_problem("e3")
+    space, rng = build_space(m, 1, "double"), np.random.default_rng(0)
+    u, w = (Solution(space, rng.standard_normal(space.n_dofs)) for _ in range(2))
+    for evaluate in (lambda: l2_error(u, prob.u_exact), lambda: residual_indicator(u, prob.f),
+                     lambda: estimate_Je(u, w, prob.f)):
+        with pytest.raises(ValueError, match="non-positive Jacobian"):
+            evaluate()
 
 
 def test_residual_indicator_zero_data():
@@ -194,8 +209,9 @@ def test_dwr_indicator_unit_weight():
     ones = Solution(sp, np.ones(sp.n_dofs))
     ind = dwr_indicator(res, ones, "value")
     assert np.allclose(ind.values, res.values * np.sqrt(element_areas(mesh)), rtol=1e-12)
-    # gradient weight of a constant vanishes
+    # gradient weight of a constant vanishes, and it is the default weight
     assert not dwr_indicator(res, ones, "gradient").values.any()
+    assert not dwr_indicator(res, ones).values.any()
 
 
 def test_dwr_indicator_unknown_weight():

@@ -9,7 +9,9 @@ they moved onto ``mesh.affine_maps`` and ``mesh.prolong``, and of the
 (elements x points) evaluation passes and the int64 COO scatter from
 before the passes streamed quadrature points, of the residual indicator's
 (edges, 2) jump arrays and the element diameters' (ne, 3, 2) gather, and
-of the COO Dirichlet round trip that the masked CSR elimination replaced.  Every kernel must
+of the COO Dirichlet round trip that the masked CSR elimination replaced,
+and of the two refinements from before they shared one child table
+(``ref_global_refine``, ``ref_bisect_marked``).  Every kernel must
 reproduce their bytes exactly, at every precision, on the dyadic meshes
 this code makes (template plus midpoint bisection), so that adaptive runs
 keep producing the same meshes and the same error trails, also when the
@@ -50,7 +52,16 @@ from mpdwr.estimator import (
     galerkin_probe,
     residual_indicator,
 )
-from mpdwr.mesh import bisect_marked, edge_table, element_diameters, min_element_volume, signed_areas
+from mpdwr.mesh import (
+    Mesh,
+    bisect_marked,
+    edge_ids_of,
+    edge_table,
+    element_diameters,
+    global_refine,
+    min_element_volume,
+    signed_areas,
+)
 from mpdwr.problems import Functional, _goal_and_l2_errors, eval_functional, functional_error, get_functional, get_problem
 from mpdwr.scalar import round_to
 
@@ -306,6 +317,73 @@ def ref_load_and_functional(space, f, functional):
     return round_to(out[0], p), round_to(round_to(1.0 / functional.area, p) * out[1], p)
 
 
+def ref_split_edges(mesh, et, cut):
+    cut_ids = np.nonzero(cut)[0]
+    nv = mesh.n_vertices
+    new_vertex = np.full(et.n_edges, -1, dtype=np.int64)
+    new_vertex[cut_ids] = nv + np.arange(cut_ids.size)
+    parents = np.empty((nv + cut_ids.size, 2), dtype=np.int64)
+    parents[:nv] = -1 if mesh.vertex_parents is None else mesh.vertex_parents
+    parents[nv:] = et.edges[cut_ids]
+    vertices = np.concatenate([mesh.vertices, 0.5 * (mesh.vertices[parents[nv:, 0]] + mesh.vertices[parents[nv:, 1]])])
+    beids = edge_ids_of(et, mesh.boundary_edges)
+    bcut = cut[beids]
+    i, j = mesh.boundary_edges[:, 0], mesh.boundary_edges[:, 1]
+    mids_b = new_vertex[beids[bcut]]
+    bedges = np.concatenate([mesh.boundary_edges[~bcut], np.stack([i[bcut], mids_b], axis=1), np.stack([mids_b, j[bcut]], axis=1)])
+    return vertices, new_vertex, bedges, parents
+
+
+def ref_global_refine(mesh):
+    et = edge_table(mesh)
+    vertices, new_vertex, bedges, parents = ref_split_edges(mesh, et, np.ones(et.n_edges, dtype=bool))
+    a, b, c = mesh.elements[:, 0], mesh.elements[:, 1], mesh.elements[:, 2]
+    mab, mbc, mca = (new_vertex[et.elem_to_edge[:, k]] for k in range(3))
+    children = np.concatenate([
+        np.stack([a, mab, mca], axis=1),
+        np.stack([mab, b, mbc], axis=1),
+        np.stack([mca, mbc, c], axis=1),
+        np.stack([mbc, mca, mab], axis=1),
+    ])
+    return Mesh(vertices, children, bedges, np.tile(mesh.generation + 1, 4), mesh.domain_area, parents)
+
+
+def ref_bisect_marked(mesh, marked):
+    marked = np.asarray(marked, dtype=np.int64)
+    et = edge_table(mesh)
+    cut = np.zeros(et.n_edges, dtype=bool)
+    cut[et.elem_to_edge[marked, 0]] = True
+    while True:
+        grown = np.count_nonzero(cut)
+        cut[et.elem_to_edge[cut[et.elem_to_edge].any(axis=1), 0]] = True
+        if np.count_nonzero(cut) == grown:
+            break
+    vertices, new_vertex, bedges, parents = ref_split_edges(mesh, et, cut)
+    a, b, c = mesh.elements[:, 0], mesh.elements[:, 1], mesh.elements[:, 2]
+    c0, c1, c2 = (cut[et.elem_to_edge[:, k]] for k in range(3))
+    m0, m1, m2 = (new_vertex[et.elem_to_edge[:, k]] for k in range(3))
+    gen = mesh.generation
+    keep = ~c0
+    elems_out, gens_out = [mesh.elements[keep]], [gen[keep]]
+    sel = c0 & ~c2
+    elems_out.append(np.stack([c[sel], a[sel], m0[sel]], axis=1))
+    gens_out.append(gen[sel] + 1)
+    sel = c0 & c2
+    elems_out.append(np.stack([m0[sel], c[sel], m2[sel]], axis=1))
+    gens_out.append(gen[sel] + 2)
+    elems_out.append(np.stack([a[sel], m0[sel], m2[sel]], axis=1))
+    gens_out.append(gen[sel] + 2)
+    sel = c0 & ~c1
+    elems_out.append(np.stack([b[sel], c[sel], m0[sel]], axis=1))
+    gens_out.append(gen[sel] + 1)
+    sel = c0 & c1
+    elems_out.append(np.stack([m0[sel], b[sel], m1[sel]], axis=1))
+    gens_out.append(gen[sel] + 2)
+    elems_out.append(np.stack([c[sel], m0[sel], m1[sel]], axis=1))
+    gens_out.append(gen[sel] + 2)
+    return Mesh(vertices, np.concatenate(elems_out), bedges, np.concatenate(gens_out).astype(np.int32), mesh.domain_area, parents)
+
+
 # --- helpers ------------------------------------------------------------------
 
 def same_bytes(x, y):
@@ -313,17 +391,27 @@ def same_bytes(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def same_mesh(m1, m2):
+    """Byte identity of every array a refinement writes."""
+    fields = ("vertices", "elements", "boundary_edges", "generation")
+    return all(same_bytes(getattr(m1, k), getattr(m2, k)) for k in fields) and (
+        same_bytes(m1.vertex_parents, m2.vertex_parents) if m2.vertex_parents is not None else m1.vertex_parents is None)
+
+
 def same_csr(A, B):
     return A.shape == B.shape and all(same_bytes(getattr(A, k), getattr(B, k)) for k in ("indptr", "indices", "data"))
 
 
 def random_bisections(seed, rounds):
-    """Level-1 mesh bisected `rounds` times at random element subsets."""
+    """Level-1 mesh bisected `rounds` times at random element subsets, each
+    bisection held to the byte against ref_bisect_marked."""
     rng = np.random.default_rng(seed)
     m = initial_mesh(1)
     for _ in range(rounds):
         k = int(rng.integers(1, max(2, m.n_elements // 4)))
-        m = bisect_marked(m, rng.choice(m.n_elements, size=k, replace=False))
+        marked = rng.choice(m.n_elements, size=k, replace=False)
+        m, want = bisect_marked(m, marked), ref_bisect_marked(m, marked)
+        assert same_mesh(m, want)
     return m
 
 
@@ -334,6 +422,9 @@ def random_solution(m, degree, seed):
 
 
 def check_mesh_kernels(m, seed=0):
+    assert same_mesh(global_refine(m), ref_global_refine(m))
+    marked = np.random.default_rng(seed).choice(m.n_elements, size=max(1, m.n_elements // 5), replace=False)
+    assert same_mesh(bisect_marked(m, marked), ref_bisect_marked(m, marked))
     et = edge_table(m)
     for got, want in zip((et.edges, et.elem_to_edge, et.edge_to_elem), ref_edge_table(m)):
         assert same_bytes(got, want)

@@ -1,4 +1,5 @@
-"""Peak memory of the quadrature passes, in ne-length float64 columns.
+"""Peak memory of the quadrature passes and the refinements, in ne-length
+float64 columns.
 
 Every per-element quadrature pass runs over blocks of at most
 fespace.ELEMENT_BLOCK elements, one quadrature point at a time: it holds
@@ -8,14 +9,17 @@ assembly writes each block's local rows, at the sparse dtype, straight
 into their slots of the CSR data array, next to int32 column indices; the
 Dirichlet elimination masks A's CSR arrays.  The bounds are the peaks that
 tracemalloc records for this code on a mesh of about 100k elements, with
-15 % or more margin (8 % for the half load at P2, whose element vectors
+15 % or more margin (4 % for the half load at P2, whose element vectors
 are binary16 values in float32 containers): l2_error 10.0 columns at P1
 and 11.3 at P2; assemble_stiffness 20.4/73.1, 18.8/62.5 and 30.2/102.0;
 apply_dirichlet 6.4/41.2 (half and single) and 9.9/64.1; assemble_load
-6.0/6.9, 7.2/8.5 and 8.5/11.0 (P1/P2 in half, single and double);
-element_h1_seminorms 10.7 and element_l2_norms 7.7; estimate_Je 18.7;
-residual_indicator 30.2.  Each pass over the whole mesh at once fails its
-bound (l2_error 24 and 27, stiffness 44, 72, 141 and 223, load 17 to 31,
+6.4/7.2, 7.4/8.6 and 8.8/11.3 (P1/P2 in half, single and double; 6.0/6.9,
+7.2/8.5 and 8.5/11.0 when the load formed its own points and weights·det
+after f); element_h1_seminorms 10.3 and element_l2_norms 7.7; estimate_Je
+18.7; residual_indicator 30.2; bisect_marked 27.6 and global_refine 45.8
+(29.3 and 45.6 before the child table).  Each pass over the whole mesh
+at once fails its bound (l2_error 24 and 27, stiffness 44, 72, 141 and
+223, load 17 to 31,
 the element norms 28 and 20, estimate_Je 48, the residual indicator's
 (edges, 2) arrays 37.7); so do the degree-8 points as one (ne, 16, 2)
 array, 32 columns, the int64 index scatter, the int32 COO scatter
@@ -35,7 +39,7 @@ from mpdwr.assembly import apply_dirichlet, assemble_load, assemble_stiffness
 from mpdwr.driver import initial_mesh
 from mpdwr.estimator import element_h1_seminorms, element_l2_norms, estimate_Je, residual_indicator
 from mpdwr.fespace import Solution, build_space, l2_error
-from mpdwr.mesh import bisect_marked
+from mpdwr.mesh import bisect_marked, global_refine
 from mpdwr.problems import get_problem
 
 
@@ -107,3 +111,9 @@ def test_element_norms_and_goal_estimate_bounded(mesh):
     assert peak_columns(mesh, lambda: element_h1_seminorms(w)) < 12.5
     assert peak_columns(mesh, lambda: element_l2_norms(w)) < 9
     assert peak_columns(mesh, lambda: estimate_Je(u, w, get_problem("e2").f)) < 21.5
+
+
+def test_refinement_bounded(mesh):
+    marked = np.flatnonzero(mesh.vertices[mesh.elements, 0].mean(axis=1) > 0)
+    assert peak_columns(mesh, lambda: bisect_marked(mesh, marked)) < 32
+    assert peak_columns(mesh, lambda: global_refine(mesh)) < 53

@@ -64,3 +64,17 @@ def test_fixed_mesh_solves_and_duals_are_digested_byte_for_byte():
     assert entries[0][1]["dtype"] == "<f2"
     assert entries[1][1] == {"level": 6, "prec": "half", "dtype": None, "coefficients_sha256": None}
     assert entries[0][1]["coefficients_sha256"] != entries[2][1]["coefficients_sha256"]
+
+
+def test_final_mesh_generation_and_parents_are_digested():
+    from mpdwr.driver import initial_mesh
+    from mpdwr.mesh import unit_square_template
+
+    hist = SimpleNamespace(records=[], flags=[], switched_at=None, post_l2=None, post_iterations=0)
+    m = initial_mesh(1)
+    history = trail._history_entries((m, None, hist))[-1][1]
+    assert history["final_generation_sha256"] == trail._digest(m.generation)
+    assert history["final_vertex_parents_sha256"] == trail._digest(m.vertex_parents)
+    older = SimpleNamespace(**vars(m) | {"generation": m.generation - 1})
+    assert trail._history_entries((older, None, hist))[-1][1]["final_generation_sha256"] != history["final_generation_sha256"]
+    assert trail._history_entries((unit_square_template(), None, hist))[-1][1]["final_vertex_parents_sha256"] is None

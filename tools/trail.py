@@ -15,7 +15,8 @@ lists, in order:
   J(e), L2 error, both indicator totals, minimum volume, primal true
   residual, precisions), then the flags, the switch point, the
   post-process L2 error and iterations, and SHA-256 digests of the final
-  mesh and solution;
+  mesh (vertices, elements and boundary edges; generations; vertex
+  parents, null when the mesh records none) and solution;
 * the workload's own trail (``workloads.<Workload>.trail``);
 * for the fixed-mesh workload, SHA-256 digests of the coefficient bytes
   of every solve (null when it failed) and of every dual, so that its
@@ -84,6 +85,8 @@ def _history_entries(raw) -> list:
         "post_l2": _plain(hist.post_l2),
         "post_iterations": hist.post_iterations,
         "final_mesh_sha256": _digest(mesh.vertices, mesh.elements, mesh.boundary_edges),
+        "final_generation_sha256": _digest(mesh.generation),
+        "final_vertex_parents_sha256": None if mesh.vertex_parents is None else _digest(mesh.vertex_parents),
         "final_solution_sha256": None if u is None else _digest(u.coefficients),
     }])
     return entries
